@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+from .. import kernels
 from ..core.accounting import BitCostModel
 from ..core.clarkson import ClarksonParameters, _clarkson_solve, solve_small_problem
 from ..core.lptype import LPTypeProblem
@@ -38,7 +39,8 @@ __all__ = [
 
 def exact_in_memory(problem: LPTypeProblem) -> SolveResult:
     """Solve the problem directly on one machine with full memory."""
-    result = solve_small_problem(problem)
+    with kernels.use_backend(None):
+        result = solve_small_problem(problem)
     result.metadata["algorithm"] = "exact_in_memory"
     return result
 
@@ -49,7 +51,8 @@ def single_pass_full_memory_streaming(problem: LPTypeProblem) -> SolveResult:
     stored: list[int] = []
     for index in stream.scan():
         stored.append(index)
-    basis = problem.solve_subset(stored)
+    with kernels.use_backend(None):
+        basis = problem.solve_subset(stored)
     bit_size = problem.bit_size()
     return SolveResult(
         value=basis.value,
@@ -94,7 +97,8 @@ def ship_all_coordinator(
         received.extend(int(i) for i in site.local_indices)
     network.end_round()
 
-    basis = problem.solve_subset(sorted(received))
+    with kernels.use_backend(None):
+        basis = problem.solve_subset(sorted(received))
     return SolveResult(
         value=basis.value,
         witness=basis.witness,

@@ -22,6 +22,11 @@ value falls back to the default likewise.  The active backend is carried in
 a :mod:`contextvars` variable, so per-solve selection is thread- and
 task-safe: the drivers wrap each run in :func:`use_backend`, and the fabric
 node tasks re-establish the driver's choice inside worker processes.
+
+:func:`use_backend` is also where the thread policy lives: inside it, every
+OpenBLAS runtime loaded into the process runs on one thread
+(:mod:`repro.kernels.blas`).  The system's parallelism is the fabric's
+workers, agents and service threads, not BLAS threads inside a solve.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import os
 import warnings
 from typing import Iterator, Optional
 
+from . import blas
 from .base import KernelBackend, SweepStats, select, selector_length
 from .fused import FusedBackend
 from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
@@ -140,10 +146,17 @@ def use_backend(name: Optional[str]) -> Iterator[str]:
 
     ``None`` pins whatever the environment/default resolution yields *now*,
     so nested code sees a stable choice for the whole solve.
+
+    The block also runs inside :data:`repro.kernels.blas.one_thread`: while
+    any thread of the process is in a ``use_backend`` block, every OpenBLAS
+    runtime runs on one thread, and the caller's thread counts come back
+    when the last block exits.  The setting is process-wide, so BLAS calls
+    from the caller's other threads also run on one thread meanwhile.
     """
     resolved = resolve_backend_name(name)
-    token = _ACTIVE.set(resolved)
-    try:
-        yield resolved
-    finally:
-        _ACTIVE.reset(token)
+    with blas.one_thread:
+        token = _ACTIVE.set(resolved)
+        try:
+            yield resolved
+        finally:
+            _ACTIVE.reset(token)

@@ -21,7 +21,7 @@ from .lp_instances import (
 )
 from .regression import RegressionData, chebyshev_regression_lp, make_regression_data
 from .streams import blocked_order, identity_order, random_order, sorted_by_tightness_order
-from .transport_probe import transport_probe_task, transport_ready_task
+from .transport_probe import blas_threads_task, transport_probe_task, transport_ready_task
 
 __all__ = [
     "ClassificationData",
@@ -44,6 +44,7 @@ __all__ = [
     "identity_order",
     "random_order",
     "sorted_by_tightness_order",
+    "blas_threads_task",
     "transport_probe_task",
     "transport_ready_task",
 ]

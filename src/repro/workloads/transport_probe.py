@@ -1,4 +1,4 @@
-"""Importable node tasks for the transport benchmark and cluster smoke runs.
+"""Importable node tasks for the transport benchmark, cluster smoke runs and probes.
 
 These live in the package (not in ``benchmarks/run_suite.py``) because every
 transport backend must be able to unpickle the function *by reference*:
@@ -9,7 +9,10 @@ shipped over the TCP wire has to resolve from an importable module.
 
 from __future__ import annotations
 
-__all__ = ["transport_probe_task", "transport_ready_task"]
+from .. import kernels
+from ..kernels import blas
+
+__all__ = ["blas_threads_task", "transport_probe_task", "transport_ready_task"]
 
 
 def transport_probe_task(state, lo, hi, round_index):
@@ -27,3 +30,15 @@ def transport_probe_task(state, lo, hi, round_index):
 def transport_ready_task(state):
     """Untimed readiness probe used to absorb worker start-up cost."""
     return state, "ready"
+
+
+def blas_threads_task(state):
+    """Per-node task: BLAS thread counts inside and after a kernel scope.
+
+    Enters :func:`repro.kernels.use_backend` as every solver node task does
+    and returns ``(inside, after)``, each a ``{library path: threads}`` map
+    of the OpenBLAS runtimes this worker process found.
+    """
+    with kernels.use_backend(state.get("kernel")):
+        inside = blas.thread_counts()
+    return state, (inside, blas.thread_counts())
