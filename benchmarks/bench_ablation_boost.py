@@ -11,30 +11,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.clarkson import ClarksonParameters, clarkson_solve, practical_parameters
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("n", [4000, 16000])
 def test_boost_ablation(benchmark, n):
     instance = random_polytope_lp(n, 2, seed=n)
-    base = practical_parameters(instance.problem, r=2, keep_trace=False)
 
     def run():
-        paper = clarkson_solve(instance.problem, params=base, rng=21)
-        classic = clarkson_solve(
-            instance.problem,
-            params=ClarksonParameters(
-                r=2,
-                boost=2.0,
-                sample_size=base.sample_size,
-                success_threshold=base.success_threshold,
-                max_iterations=4000,
-                keep_trace=False,
-            ),
-            rng=21,
+        paper = facade_solve(instance.problem, "sequential", r=2, seed=21)
+        # Same sampling profile; only the boost (and the iteration budget it
+        # needs) differs.
+        classic = facade_solve(
+            instance.problem, "sequential", r=2, seed=21, boost=2.0, max_iterations=4000
         )
         return paper, classic
 

@@ -21,11 +21,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.algorithms import streaming_clarkson_solve
-from repro.core.clarkson import practical_parameters
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record
+from conftest import emit_row, facade_solve, record
 
 REQUIRED_SPEEDUP = 5.0
 
@@ -89,10 +87,9 @@ def test_streaming_solve_end_to_end(benchmark):
     """Full streaming solve at n = 10^5 (the scale the scalar path choked on)."""
     n = 100_000
     instance = random_polytope_lp(n, 2, seed=98)
-    params = practical_parameters(instance.problem, r=2, keep_trace=False)
 
     result = benchmark.pedantic(
-        lambda: streaming_clarkson_solve(instance.problem, r=2, params=params, rng=17),
+        lambda: facade_solve(instance.problem, "streaming", r=2, seed=17),
         rounds=1,
         iterations=1,
     )

@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import mpc_clarkson_solve
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("n", [2000, 8000])
 @pytest.mark.parametrize("delta", [0.5, 1.0 / 3.0])
 def test_mpc_lp_rounds_and_load(benchmark, n, delta):
     instance = random_polytope_lp(n, 2, seed=int(n * delta))
-    params = solver_params(instance.problem, r=max(1, round(1.0 / delta)))
 
     def run():
-        return mpc_clarkson_solve(
-            instance.problem, delta=delta, num_machines=16, params=params, rng=3
+        return facade_solve(
+            instance.problem,
+            "mpc",
+            r=max(1, round(1.0 / delta)),
+            seed=3,
+            delta=delta,
+            num_machines=16,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -57,13 +60,11 @@ def test_mpc_round_load_tradeoff(benchmark):
     instance = random_polytope_lp(6000, 2, seed=99)
 
     def run():
-        shallow = mpc_clarkson_solve(
-            instance.problem, delta=0.5, num_machines=16,
-            params=solver_params(instance.problem, r=2), rng=4,
+        shallow = facade_solve(
+            instance.problem, "mpc", r=2, seed=4, delta=0.5, num_machines=16
         )
-        deep = mpc_clarkson_solve(
-            instance.problem, delta=0.25, num_machines=16,
-            params=solver_params(instance.problem, r=4), rng=4,
+        deep = facade_solve(
+            instance.problem, "mpc", r=4, seed=4, delta=0.25, num_machines=16
         )
         return shallow, deep
 

@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import streaming_clarkson_solve
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("n", [2000, 8000])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_streaming_lp_passes_and_space(benchmark, n, r):
     instance = random_polytope_lp(n, 2, seed=n + r)
-    params = solver_params(instance.problem, r=r)
 
     def run():
-        return streaming_clarkson_solve(instance.problem, r=r, params=params, rng=17)
+        return facade_solve(instance.problem, "streaming", r=r, seed=17)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     d = instance.problem.dimension
@@ -54,10 +52,9 @@ def test_streaming_lp_passes_and_space(benchmark, n, r):
 def test_streaming_lp_dimension_sweep(benchmark, dimension):
     """Pass count grows linearly (not exponentially) with the dimension."""
     instance = random_polytope_lp(4000, dimension, seed=dimension)
-    params = solver_params(instance.problem, r=2)
 
     def run():
-        return streaming_clarkson_solve(instance.problem, r=2, params=params, rng=23)
+        return facade_solve(instance.problem, "streaming", r=2, seed=23)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(

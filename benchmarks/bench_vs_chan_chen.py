@@ -19,12 +19,11 @@ from repro.algorithms import (
     chan_chen_2d_streaming,
     chan_chen_pass_count,
     clarkson_pass_count,
-    streaming_clarkson_solve,
 )
 from repro.lower_bounds import sample_hard_instance, tci_to_linear_program
 from repro.lower_bounds.tci import tci_to_envelope_lp
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 def test_pass_complexity_models(benchmark):
@@ -57,11 +56,10 @@ def test_measured_2d_comparison(benchmark, r):
     hard = sample_hard_instance(branching=14, rounds=2, seed=r)  # n = 196 points
     envelope = tci_to_envelope_lp(hard.instance)
     lp = tci_to_linear_program(hard.instance)
-    params = solver_params(lp, r=r)
 
     def run():
         baseline = chan_chen_2d_streaming(envelope, r=r)
-        ours = streaming_clarkson_solve(lp, r=r, params=params, rng=11)
+        ours = facade_solve(lp, "streaming", r=r, seed=11)
         return baseline, ours
 
     baseline, ours = benchmark.pedantic(run, rounds=1, iterations=1)

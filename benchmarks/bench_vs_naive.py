@@ -9,22 +9,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import coordinator_clarkson_solve, ship_all_coordinator
+from repro.algorithms import ship_all_coordinator
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("n", [2000, 8000, 16000])
 def test_coordinator_vs_ship_all(benchmark, n):
     instance = random_polytope_lp(n, 2, seed=n)
-    params = solver_params(instance.problem, r=2)
 
     def run():
         naive = ship_all_coordinator(instance.problem, num_sites=8)
-        clever = coordinator_clarkson_solve(
-            instance.problem, num_sites=8, r=2, params=params, rng=13
-        )
+        clever = facade_solve(instance.problem, "coordinator", r=2, seed=13, num_sites=8)
         return naive, clever
 
     naive, clever = benchmark.pedantic(run, rounds=1, iterations=1)

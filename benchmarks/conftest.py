@@ -30,11 +30,6 @@ def practical_config(problem, r: int, **overrides) -> SolverConfig:
     return SolverConfig.practical(problem, r=r, keep_trace=False, **overrides)
 
 
-def solver_params(problem, r: int):
-    """The practical profile as :class:`ClarksonParameters` (legacy drivers)."""
-    return practical_config(problem, r).to_parameters()
-
-
 def facade_solve(problem, model: str, r: int = 2, seed=0, **overrides):
     """One benchmark run through the ``repro.solve`` front door.
 

@@ -27,9 +27,10 @@ Cross-model comparisons and batches::
     batch = solve_many([instance.problem] * 10, model="mpc", root_seed=0)
     print(batch.resources_total().rounds)
 
-``available_models()`` / ``describe_model(name)`` introspect the registry;
-the legacy per-model entry points (``streaming_clarkson_solve``, ...) remain
-as deprecated shims.
+``available_models()`` / ``describe_model(name)`` introspect the registry.
+Per-solve request state — budget meter, progress tap, checkpoint store,
+fault plan — travels in one :class:`~repro.core.context.SolveContext`,
+installed with :func:`~repro.core.context.solve_scope`.
 """
 
 from .algorithms import (
@@ -37,13 +38,10 @@ from .algorithms import (
     chan_chen_pass_count,
     clarkson_classic_reweighting,
     clarkson_pass_count,
-    coordinator_clarkson_solve,
     exact_in_memory,
     machines_for_load,
-    mpc_clarkson_solve,
     ship_all_coordinator,
     single_pass_full_memory_streaming,
-    streaming_clarkson_solve,
 )
 from .api import (
     BatchResult,
@@ -78,7 +76,6 @@ from .core import (
     CommunicationSummary,
     LPTypeProblem,
     SolveResult,
-    clarkson_solve,
 )
 from .core.budget import ResourceBudget
 from .core.exceptions import (
@@ -150,19 +147,15 @@ __all__ = [
     "chan_chen_pass_count",
     "clarkson_classic_reweighting",
     "clarkson_pass_count",
-    "coordinator_clarkson_solve",
     "exact_in_memory",
     "machines_for_load",
-    "mpc_clarkson_solve",
     "ship_all_coordinator",
     "single_pass_full_memory_streaming",
-    "streaming_clarkson_solve",
     "BasisResult",
     "ClarksonParameters",
     "CommunicationSummary",
     "LPTypeProblem",
     "SolveResult",
-    "clarkson_solve",
     "AugIndexInstance",
     "TCIInstance",
     "aug_index_to_tci",

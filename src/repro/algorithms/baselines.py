@@ -23,9 +23,8 @@ from ..core.clarkson import ClarksonParameters, _clarkson_solve, solve_small_pro
 from ..core.lptype import LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
 from ..core.rng import SeedLike
-from ..models.coordinator import CoordinatorNetwork, Message
-from ..models.partition import partition_indices
-from ..models.streaming import MultiPassStream
+from ..fabric.payload import ConstraintBlock, Flag, constraint_rows
+from ..fabric.topology import StarTopology, StreamTopology, partition_indices
 from ..api.config import CoordinatorConfig, SolverConfig
 from ..api.registry import register_model
 
@@ -47,10 +46,9 @@ def exact_in_memory(problem: LPTypeProblem) -> SolveResult:
 
 def single_pass_full_memory_streaming(problem: LPTypeProblem) -> SolveResult:
     """The trivial streaming algorithm: one pass, remember every constraint."""
-    stream = MultiPassStream(problem.num_constraints)
-    stored: list[int] = []
-    for index in stream.scan():
-        stored.append(index)
+    stream = StreamTopology(problem.num_constraints)
+    stream.record_pass()
+    stored: list[int] = stream.order().tolist()
     with kernels.use_backend(None):
         basis = problem.solve_subset(stored)
     bit_size = problem.bit_size()
@@ -75,27 +73,16 @@ def ship_all_coordinator(
     cost_model: BitCostModel | None = None,
 ) -> SolveResult:
     """The trivial coordinator algorithm: every site ships its whole input."""
-    cost_model = cost_model or BitCostModel()
     partition = partition_indices(problem.num_constraints, num_sites, method="round_robin")
-    network = CoordinatorNetwork(partition, cost_model=cost_model)
-    payload_coeffs = problem.payload_num_coefficients()
+    star = StarTopology(len(partition), cost_model=cost_model)
 
-    network.begin_round()
+    star.begin_round()
     received: list[int] = []
-    for site in network.sites:
-        network.coordinator_to_site(site.site_id, Message(("send-all", 1), cost_model.counters(1)))
-        # Same convention as the fabric's measured ConstraintBlock: the
-        # coefficient rows plus one counter per constraint identity.
-        network.site_to_coordinator(
-            site.site_id,
-            Message(
-                site.local_indices,
-                cost_model.coefficients(site.num_local * payload_coeffs)
-                + cost_model.counters(site.num_local),
-            ),
-        )
-        received.extend(int(i) for i in site.local_indices)
-    network.end_round()
+    for site, indices in enumerate(partition):
+        star.send_down(site, Flag("send-all", 1))
+        star.send_up(site, ConstraintBlock(indices, constraint_rows(problem, indices)))
+        received.extend(int(i) for i in indices)
+    star.end_round()
 
     with kernels.use_backend(None):
         basis = problem.solve_subset(sorted(received))
@@ -106,12 +93,12 @@ def ship_all_coordinator(
         iterations=1,
         successful_iterations=1,
         resources=ResourceUsage(
-            rounds=network.rounds,
-            total_communication_bits=network.total_bits,
-            max_message_bits=network.max_message_bits,
-            machine_count=network.num_sites,
+            rounds=star.rounds,
+            total_communication_bits=star.total_bits,
+            max_message_bits=star.max_message_bits,
+            machine_count=star.num_sites,
         ),
-        metadata={"algorithm": "ship_all_coordinator", "k": network.num_sites},
+        metadata={"algorithm": "ship_all_coordinator", "k": star.num_sites},
     )
 
 

@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.accounting import StreamingMemory
 from ..core.exceptions import InvalidInstanceError
 from ..core.result import ResourceUsage, SolveResult
-from ..models.streaming import MultiPassStream, StreamingMemory
+from ..fabric.topology import StreamTopology
 
 __all__ = [
     "chan_chen_pass_count",
@@ -127,7 +128,8 @@ def chan_chen_2d_streaming(
     if r < 1:
         raise ValueError("r must be >= 1")
 
-    stream = MultiPassStream(n)
+    stream = StreamTopology(n)
+    order = stream.order().tolist()
     memory = StreamingMemory()
     grid_size = max(3, int(np.ceil(grid_multiplier * n ** (1.0 / r))) + 1)
     low, high = float(lp.x_low), float(lp.x_high)
@@ -136,7 +138,8 @@ def chan_chen_2d_streaming(
         grid = np.linspace(low, high, grid_size)
         envelope = np.full(grid_size, -np.inf)
         # One pass: evaluate every line on the grid, keep the running max.
-        for index in stream.scan():
+        stream.record_pass()
+        for index in order:
             values = lp.slopes[index] * grid + lp.intercepts[index]
             np.maximum(envelope, values, out=envelope)
         memory.set_usage(items=2 * grid_size, bits=2 * grid_size * 64)
@@ -156,7 +159,8 @@ def chan_chen_2d_streaming(
     end_values_low: list[float] = []
     end_values_high: list[float] = []
     max_abs_slope = 0.0
-    for index in stream.scan():
+    stream.record_pass()
+    for index in order:
         end_values_low.append(lp.slopes[index] * low + lp.intercepts[index])
         end_values_high.append(lp.slopes[index] * high + lp.intercepts[index])
         max_abs_slope = max(max_abs_slope, abs(float(lp.slopes[index])))

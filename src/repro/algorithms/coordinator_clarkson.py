@@ -76,13 +76,12 @@ from ..fabric.payload import (
     constraint_rows,
     encode_witness_vector,
 )
-from ..fabric.topology import StarTopology, TreeTopology
+from ..fabric.topology import StarTopology, TreeTopology, partition_indices
 from ..fabric.transport import SharedRef, resolve_transport
-from ..models.partition import partition_indices
 from ..api.config import CoordinatorConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
+from ..api.registry import register_model
 
-__all__ = ["coordinator_clarkson_solve"]
+__all__: list[str] = []
 
 
 # ---------------------------------------------------------------------- #
@@ -322,14 +321,15 @@ def _coordinator_clarkson_solve(
     transport: Optional[TransportConfig] = None,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """Coordinator driver body; see :func:`coordinator_clarkson_solve`.
+    """The coordinator driver behind ``repro.solve(problem, model="coordinator")``.
 
-    Internal entry point used by ``repro.solve(problem, model="coordinator")``;
-    identical to the public shim minus the deprecation warning.
-    ``warm_witnesses`` (session API) seeds the per-site weight vectors from a
-    prior run's successful-iteration bases; the prior run already broadcast
-    those bases to every site, so re-deriving the local weights costs no
-    additional communication.
+    The arguments mirror :class:`~repro.api.config.CoordinatorConfig`;
+    ``resources.rounds`` and ``resources.total_communication_bits`` carry
+    the coordinator-model costs and ``result.communication`` the per-round
+    trace.  ``warm_witnesses`` (session API) seeds the per-site weight
+    vectors from a prior run's successful-iteration bases; the prior run
+    already broadcast those bases to every site, so re-deriving the local
+    weights costs no additional communication.
     """
     base_params = params or ClarksonParameters()
     params = replace(base_params, r=r)
@@ -444,59 +444,6 @@ def _coordinator_clarkson_solve(
     )
 
 
-def coordinator_clarkson_solve(
-    problem: LPTypeProblem,
-    num_sites: int = 4,
-    r: int = 2,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the coordinator model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="coordinator")`` instead; this shim
-        emits a :class:`DeprecationWarning` and forwards to the same
-        implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem (shared read-only by the simulator; sites only
-        touch their own constraints and what they received).
-    num_sites:
-        Number of sites ``k`` (ignored if ``partition`` is given).
-    r:
-        Round/communication trade-off parameter of Theorem 2.
-    partition:
-        Optional explicit partition of the constraint indices over the sites.
-    params:
-        Meta-algorithm parameters (``params.r`` is overridden by ``r``).
-    cost_model:
-        Bit-cost model used for the communication accounting.
-    rng:
-        Randomness (coordinator and per-site generators are derived from it).
-
-    Returns
-    -------
-    SolveResult
-        ``resources.rounds`` and ``resources.total_communication_bits`` carry
-        the coordinator-model costs; ``result.communication`` has the
-        per-round trace.
-    """
-    warn_legacy_entry_point("coordinator_clarkson_solve", "coordinator")
-    return _coordinator_clarkson_solve(
-        problem,
-        num_sites=num_sites,
-        r=r,
-        partition=partition,
-        params=params,
-        cost_model=cost_model,
-        rng=rng,
-    )
-
-
 def _run_coordinator(
     problem: LPTypeProblem, config: CoordinatorConfig, warm_witnesses=None
 ) -> SolveResult:
@@ -533,7 +480,6 @@ register_model(
         "max_machine_load_bits",
         "machine_count",
     ),
-    replaces="coordinator_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
     warm_runner=_run_coordinator,
     capabilities=("warm_restart", "ingest"),

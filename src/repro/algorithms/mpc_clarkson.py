@@ -75,13 +75,12 @@ from ..fabric.payload import (
     constraint_rows,
     encode_witness_vector,
 )
-from ..fabric.topology import GridTopology
+from ..fabric.topology import GridTopology, partition_indices
 from ..fabric.transport import SharedRef, resolve_transport
-from ..models.partition import partition_indices
 from ..api.config import MPCConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
+from ..api.registry import register_model
 
-__all__ = ["mpc_clarkson_solve", "machines_for_load"]
+__all__ = ["machines_for_load"]
 
 _COORDINATOR = 0
 
@@ -344,10 +343,11 @@ def _mpc_clarkson_solve(
     transport: Optional[TransportConfig] = None,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """MPC driver body; see :func:`mpc_clarkson_solve`.
+    """The MPC driver behind ``repro.solve(problem, model="mpc")``.
 
-    Internal entry point used by ``repro.solve(problem, model="mpc")``;
-    identical to the public shim minus the deprecation warning.
+    The arguments mirror :class:`~repro.api.config.MPCConfig`;
+    ``resources.rounds`` and ``resources.max_machine_load_bits`` carry the
+    MPC costs and ``result.communication`` the per-round trace.
     ``warm_witnesses`` (session API) seeds every machine's implicit
     stored-bases weights with a prior run's successful-iteration witnesses.
     """
@@ -472,58 +472,6 @@ def _mpc_clarkson_solve(
     )
 
 
-def mpc_clarkson_solve(
-    problem: LPTypeProblem,
-    delta: float = 0.5,
-    num_machines: int | None = None,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the MPC model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="mpc")`` instead; this shim emits a
-        :class:`DeprecationWarning` and forwards to the same implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem.
-    delta:
-        Load exponent: per-machine load is ``O~(n^delta)`` and the number of
-        rounds is ``O(nu / delta^2)``.
-    num_machines:
-        Number of machines (default ``ceil(n^(1-delta))``).
-    partition:
-        Optional explicit partition of constraint indices over machines.
-    params:
-        Meta-algorithm parameters; ``r = ceil(1/delta)`` is derived from
-        ``delta``.
-    cost_model:
-        Bit-cost model for the load accounting.
-    rng:
-        Randomness.
-
-    Returns
-    -------
-    SolveResult
-        ``resources.rounds`` and ``resources.max_machine_load_bits`` carry
-        the MPC costs; ``result.communication`` has the per-round trace.
-    """
-    warn_legacy_entry_point("mpc_clarkson_solve", "mpc")
-    return _mpc_clarkson_solve(
-        problem,
-        delta=delta,
-        num_machines=num_machines,
-        partition=partition,
-        params=params,
-        cost_model=cost_model,
-        rng=rng,
-    )
-
-
 def _run_mpc(
     problem: LPTypeProblem, config: MPCConfig, warm_witnesses=None
 ) -> SolveResult:
@@ -557,7 +505,6 @@ register_model(
         "total_communication_bits",
         "machine_count",
     ),
-    replaces="mpc_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
     warm_runner=_run_mpc,
     capabilities=("warm_restart", "ingest"),

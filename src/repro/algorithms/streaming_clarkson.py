@@ -50,6 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import kernels
+from ..core.accounting import StreamingMemory
 from ..core.clarkson import (
     ClarksonParameters,
     _warm_stats,
@@ -72,11 +73,10 @@ from ..core.sampling import exponential_keys
 from ..core.weights import boost_factor
 from ..fabric.topology import StreamTopology
 from ..fabric.transport import SharedRef, resolve_transport
-from ..models.streaming import StreamingMemory
 from ..api.config import StreamingConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
+from ..api.registry import register_model
 
-__all__ = ["streaming_clarkson_solve"]
+__all__: list[str] = []
 
 #: Number of stream items buffered per vectorised evaluation.  Bounded and
 #: independent of ``n``: the simulator's live scratch per pass is
@@ -257,10 +257,11 @@ def _streaming_clarkson_solve(
     transport: Optional[TransportConfig] = None,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """Streaming driver body; see :func:`streaming_clarkson_solve`.
+    """The streaming driver behind ``repro.solve(problem, model="streaming")``.
 
-    Internal entry point used by ``repro.solve(problem, model="streaming")``;
-    identical to the public shim minus the deprecation warning.
+    The arguments mirror :class:`~repro.api.config.StreamingConfig`;
+    ``resources.passes`` and ``resources.space_peak_items`` /
+    ``space_peak_bits`` carry the streaming costs of the run.
     ``warm_witnesses`` (session API) seeds the implicit stored-bases weights
     with a prior run's successful-iteration witnesses.
     """
@@ -357,45 +358,6 @@ def _streaming_clarkson_solve(
     )
 
 
-def streaming_clarkson_solve(
-    problem: LPTypeProblem,
-    r: int = 2,
-    order: Sequence[int] | np.ndarray | None = None,
-    params: ClarksonParameters | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the multi-pass streaming model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="streaming")`` instead; this shim
-        emits a :class:`DeprecationWarning` and forwards to the same
-        implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem; the driver only accesses constraints by the
-        indices the stream yields.
-    r:
-        Pass/space trade-off parameter of Theorem 1.
-    order:
-        Optional arrival order of the constraints (default: natural order).
-    params:
-        Optional meta-algorithm parameters; ``params.r`` is overridden by
-        ``r``.
-    rng:
-        Randomness for the reservoir sampling.
-
-    Returns
-    -------
-    SolveResult
-        ``resources.passes`` and ``resources.space_peak_items`` /
-        ``space_peak_bits`` carry the streaming costs of the run.
-    """
-    warn_legacy_entry_point("streaming_clarkson_solve", "streaming")
-    return _streaming_clarkson_solve(problem, r=r, order=order, params=params, rng=rng)
-
-
 def _run_streaming(
     problem: LPTypeProblem, config: StreamingConfig, warm_witnesses=None
 ) -> SolveResult:
@@ -421,7 +383,6 @@ register_model(
         "weights, two passes per iteration, O~(n^{1/r}) space."
     ),
     currencies=("passes", "space_peak_items", "space_peak_bits"),
-    replaces="streaming_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
     warm_runner=_run_streaming,
     capabilities=("warm_restart", "ingest"),

@@ -36,7 +36,6 @@ register_model(
         "weights (the ground truth the model bindings are tested against)."
     ),
     currencies=("space_peak_items",),
-    replaces="clarkson_solve",
     warm_runner=_run_sequential,
     capabilities=("warm_restart", "ingest"),
 )

@@ -266,7 +266,7 @@ class SolverConfig:
     kernel_backend:
         Kernel backend the run executes on: one of
         :data:`repro.kernels.KNOWN_KERNEL_BACKENDS` (``"numpy"``, ``"fused"``,
-        ``"fused64"``, ``"numba"``).  ``None`` (default) defers to the
+        ``"numba"``).  ``None`` (default) defers to the
         ``REPRO_KERNEL_BACKEND`` environment variable and then the registry
         default.  A known backend whose import dependency is missing
         (``"numba"`` without numba installed) falls back to ``"numpy"`` at

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -110,8 +109,6 @@ class ModelSpec:
         One-line human description (shown by :func:`describe_model`).
     currencies:
         The ``ResourceUsage`` fields that are meaningful for this model.
-    replaces:
-        Name of the legacy entry point this model supersedes, if any.
     transports:
         The :class:`~repro.api.config.TransportConfig` kinds the model's
         driver can execute on (every model runs in-process; the distributed
@@ -132,7 +129,6 @@ class ModelSpec:
     config_cls: type
     description: str = ""
     currencies: tuple[str, ...] = ()
-    replaces: str | None = None
     transports: tuple[str, ...] = ("inprocess",)
     warm_runner: Callable[..., "SolveResult"] | None = None
     capabilities: tuple[str, ...] = ()
@@ -199,7 +195,6 @@ def register_model(
     config_cls: type,
     description: str = "",
     currencies: tuple[str, ...] = (),
-    replaces: str | None = None,
     transports: tuple[str, ...] = ("inprocess",),
     warm_runner: Callable[..., Any] | None = None,
     capabilities: tuple[str, ...] = (),
@@ -219,7 +214,6 @@ def register_model(
             config_cls=config_cls,
             description=description,
             currencies=tuple(currencies),
-            replaces=replaces,
             transports=tuple(transports),
             warm_runner=warm_runner,
             capabilities=tuple(capabilities),
@@ -323,7 +317,6 @@ def describe_model(name: str) -> Mapping[str, Any]:
         "currencies": list(spec.currencies),
         "config_class": spec.config_cls.__name__,
         "config_keys": config_fields,
-        "replaces": spec.replaces,
         "transports": list(spec.transports),
         "capabilities": list(spec.capabilities),
         "kernel_backends": list(kernels.available_backends()),
@@ -340,13 +333,3 @@ def describe_problem(name: str) -> Mapping[str, Any]:
         "factory": getattr(spec.factory, "__name__", repr(spec.factory)),
         "tags": list(spec.tags),
     }
-
-
-def warn_legacy_entry_point(old_name: str, model: str) -> None:
-    """Emit the deprecation warning for one legacy ``*_solve`` entry point."""
-    warnings.warn(
-        f"{old_name}() is deprecated; use repro.solve(problem, model={model!r}) "
-        f"(or repro.solve_many for batches) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -30,14 +30,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..core.budget import (
-    CheckpointStore,
-    ProgressTap,
-    ResourceBudget,
-    checkpointing,
-    metered,
-    tapping,
-)
+from ..core.budget import CheckpointStore, ProgressTap, ResourceBudget, start_meter
+from ..core.context import solve_scope
 from ..core.exceptions import (
     BudgetExceededError,
     CommunicationError,
@@ -393,9 +387,11 @@ class SolverService:
                 try:
                     # Meter, tap, and checkpoint store live in *this* worker
                     # thread's context (contextvars do not cross threads).
-                    with metered(budget, started_at=ticket.started_at), tapping(
-                        tap
-                    ), checkpointing(store):
+                    with solve_scope(
+                        meter=start_meter(budget, started_at=ticket.started_at),
+                        tap=tap,
+                        checkpoints=store,
+                    ):
                         result = self._session.run_cold(
                             problem, config, warm_witnesses=warm
                         )

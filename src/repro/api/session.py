@@ -45,15 +45,15 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from ..core.budget import ResourceBudget, metered
+from ..core.budget import ResourceBudget, start_meter
+from ..core.context import solve_scope
 from ..core.exceptions import InvalidConfigError, SessionError
 from ..core.result import ResourceUsage, SolveResult, WarmStats
-from ..resilience.faults import recovery_scope
+from ..resilience.faults import RecoveryNotes
 from ..fabric import shm
 from ..fabric.transport import (
     ProcessPoolTransport,
     Transport,
-    pinned_transport,
     shared_process_transport,
 )
 from .config import SolverConfig
@@ -612,16 +612,22 @@ class Session:
         warm_witnesses: Optional[list],
         budget: Optional[ResourceBudget],
     ) -> SolveResult:
-        """One driver run under the session's transport pin and budget meter.
+        """One driver run in the session's solve scope.
 
-        A :func:`~repro.resilience.faults.recovery_scope` wraps the run so
-        the supervised transport can report what it did; worker restarts are
-        folded into the result's ``transport_retries`` usage counter, and a
-        degradation to in-process execution is flagged in the metadata.
+        The scope pins the session's transport and shared-memory token,
+        installs the budget meter, and hands the supervised transport fresh
+        :class:`~repro.resilience.faults.RecoveryNotes` to report what it
+        did; worker restarts are folded into the result's
+        ``transport_retries`` usage counter, and a degradation to in-process
+        execution is flagged in the metadata.
         """
-        with pinned_transport(self._transport), shm.pinned_shm_owner(
-            self._shm_token
-        ), metered(budget), recovery_scope() as notes:
+        notes = RecoveryNotes()
+        with solve_scope(
+            transport=self._transport,
+            shm_pin=self._shm_token,
+            meter=start_meter(budget),
+            recovery=notes,
+        ):
             if warm_witnesses is not None and self.spec.warm_runner is not None:
                 result = self.spec.warm_runner(problem, config, warm_witnesses)
             else:

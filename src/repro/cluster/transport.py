@@ -60,11 +60,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .registry import ClusterRegistry, MemberDead
+from ..core.context import solve_context
 from ..core.exceptions import CommunicationError, TransportFailure
 from ..fabric import wirecodec
 from ..fabric.payload import Payload, decode_payload
 from ..fabric.transport import ProcessPoolTransport, Transport
-from ..resilience.faults import active_recovery_notes, faulted_delivery
+from ..resilience.faults import faulted_delivery
 from ..resilience.supervisor import _SessionJournal
 
 __all__ = ["TcpTransport", "resolve_tcp_transport", "shared_tcp_transport"]
@@ -327,7 +328,7 @@ class TcpTransport(Transport):
             # The replacement died during replay; recurse on *it*.
             return self._recover_member_locked(replacement)
         self.total_restarts += 1
-        notes = active_recovery_notes()
+        notes = solve_context().recovery
         if notes is not None:
             notes.restarts += 1
             what = "respawned agent" if fresh else "surviving member"
@@ -394,7 +395,7 @@ class TcpTransport(Transport):
                         )
             self._fallback = fallback
             self.degraded = True
-        notes = active_recovery_notes()
+        notes = solve_context().recovery
         if notes is not None:
             notes.degraded = True
             notes.note("cluster unrecoverable: degraded to local process pool")

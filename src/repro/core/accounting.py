@@ -26,7 +26,7 @@ from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .budget import active_tap
+from .context import solve_context
 
 #: Default number of bits charged for one numeric coefficient in a message.
 DEFAULT_BITS_PER_COEFFICIENT = 64
@@ -111,6 +111,31 @@ class CostMeter:
 
 
 @dataclass
+class StreamingMemory:
+    """Peak-memory tracker for a streaming algorithm.
+
+    The driver reports its currently stored items / bits; the tracker records
+    the peak footprint, which is the quantity Theorem 1 bounds.
+    """
+
+    items: CostMeter = field(default_factory=lambda: CostMeter("items"))
+    bits: CostMeter = field(default_factory=lambda: CostMeter("bits"))
+
+    def set_usage(self, items: int, bits: int) -> None:
+        """Report the current memory footprint."""
+        self.items.set_level(items)
+        self.bits.set_level(bits)
+
+    @property
+    def peak_items(self) -> int:
+        return self.items.peak
+
+    @property
+    def peak_bits(self) -> int:
+        return self.bits.peak
+
+
+@dataclass
 class RoundLedger:
     """Tracks per-round costs (used by the coordinator and MPC substrates)."""
 
@@ -119,13 +144,14 @@ class RoundLedger:
     def record(self, **costs: int) -> None:
         """Append a round with the given named costs.
 
-        If a :class:`~repro.core.budget.ProgressTap` is installed for the
-        enclosing solve, the round is also emitted as a progress event —
-        this single hook covers every topology (coordinator rounds, MPC
-        rounds, and stream passes all record through one ledger).
+        If the enclosing solve's context carries a
+        :class:`~repro.core.budget.ProgressTap`, the round is also emitted as
+        a progress event — this single hook covers every topology
+        (coordinator rounds, MPC rounds, and stream passes all record through
+        one ledger).
         """
         self.rounds.append(dict(costs))
-        tap = active_tap()
+        tap = solve_context().tap
         if tap is not None:
             tap.emit(
                 "round",

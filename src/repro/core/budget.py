@@ -13,26 +13,26 @@ moves no messages (a tiny instance handled by the direct-solve path, or a
 session fast-path re-certification) runs to completion even if its wall
 budget expires mid-way.
 
-The active meter travels in a :mod:`contextvars` context variable rather
-than through the driver signatures: budgets are a *service-level* concern
-and the drivers stay oblivious (an unbudgeted solve never even looks at the
-clock).  :func:`metered` installs a meter for the duration of one solve;
-:func:`active_meter` is what the engine and topologies consult.
+The active meter travels in the per-solve context
+(:func:`repro.core.context.solve_scope`) rather than through the driver
+signatures: budgets are a *service-level* concern and the drivers stay
+oblivious (an unbudgeted solve never even looks at the clock).
+:func:`start_meter` builds the meter one solve installs as ``meter``.
 
-The same pattern carries **progress taps**: a :class:`ProgressTap` installed
-with :func:`tapping` receives one event per engine iteration (emitted by the
-engine loop) and one per communication round (emitted by the topology
-ledger), which is how the HTTP front end streams per-round progress over SSE
-without the drivers knowing a network exists.
+The same context carries **progress taps** (``tap``): a :class:`ProgressTap`
+receives one event per engine iteration (emitted by the engine loop) and one
+per communication round (emitted by the topology ledger), which is how the
+HTTP front end streams per-round progress over SSE without the drivers
+knowing a network exists.  **Checkpoint stores** (``checkpoints``) complete
+the set: a :class:`CheckpointStore` snapshots the engine's witnesses so a
+failed attempt can resume.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from .exceptions import BudgetExceededError, InvalidConfigError
 from .result import ResourceUsage
@@ -43,12 +43,7 @@ __all__ = [
     "ProgressTap",
     "Checkpoint",
     "CheckpointStore",
-    "active_checkpoint",
-    "active_meter",
-    "active_tap",
-    "checkpointing",
-    "metered",
-    "tapping",
+    "start_meter",
 ]
 
 
@@ -157,36 +152,18 @@ class BudgetMeter:
         self.check_wall_time()
 
 
-_ACTIVE_METER: ContextVar[Optional[BudgetMeter]] = ContextVar(
-    "repro_budget_meter", default=None
-)
-
-
-def active_meter() -> Optional[BudgetMeter]:
-    """The meter of the enclosing budgeted request, if any."""
-    return _ACTIVE_METER.get()
-
-
-@contextmanager
-def metered(
+def start_meter(
     budget: Optional[ResourceBudget], started_at: Optional[float] = None
-) -> Iterator[Optional[BudgetMeter]]:
-    """Install a budget meter for the duration of one solve.
+) -> Optional[BudgetMeter]:
+    """A meter enforcing ``budget`` from ``started_at`` (default: now).
 
-    ``None`` (or an all-``None`` budget) installs nothing, keeping the
-    unbudgeted hot path free of clock reads.  Meters do not nest: an inner
-    ``metered`` replaces the outer one for its extent (the service is the
-    only installer in practice, one meter per request).
+    ``None`` (or an all-``None`` budget) yields no meter, keeping the
+    unbudgeted hot path free of clock reads.  Meters do not nest: the
+    innermost scope that installs one replaces the outer one.
     """
     if budget is None or budget.unlimited:
-        yield None
-        return
-    meter = BudgetMeter(budget, started_at=started_at)
-    token = _ACTIVE_METER.set(meter)
-    try:
-        yield meter
-    finally:
-        _ACTIVE_METER.reset(token)
+        return None
+    return BudgetMeter(budget, started_at=started_at)
 
 
 class ProgressTap:
@@ -209,34 +186,6 @@ class ProgressTap:
         self._callback({"event": event, **fields})
 
 
-_ACTIVE_TAP: ContextVar[Optional[ProgressTap]] = ContextVar(
-    "repro_progress_tap", default=None
-)
-
-
-def active_tap() -> Optional[ProgressTap]:
-    """The progress tap of the enclosing solve, if any."""
-    return _ACTIVE_TAP.get()
-
-
-@contextmanager
-def tapping(tap: Optional[ProgressTap]) -> Iterator[Optional[ProgressTap]]:
-    """Install a progress tap for the duration of one solve.
-
-    ``None`` installs nothing (the untapped hot path stays a single ``None``
-    check per iteration).  Like budget meters, taps do not nest: an inner
-    ``tapping`` replaces the outer one for its extent.
-    """
-    if tap is None:
-        yield None
-        return
-    token = _ACTIVE_TAP.set(tap)
-    try:
-        yield tap
-    finally:
-        _ACTIVE_TAP.reset(token)
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     """One recoverable snapshot of an in-flight solve.
@@ -257,8 +206,8 @@ class Checkpoint:
 class CheckpointStore:
     """Collects engine checkpoints during one solve.
 
-    Installed with :func:`checkpointing` (the same contextvar pattern as
-    budget meters and progress taps), consulted by the engine loop after
+    Installed as the per-solve context's ``checkpoints`` field (next to the
+    budget meter and the progress tap), consulted by the engine loop after
     every *successful* iteration: every ``interval``-th accumulated witness
     snapshots the full witness list.  The store is in-memory and per-ticket;
     the service's retry path reads :meth:`latest` to resume a solve whose
@@ -285,31 +234,3 @@ class CheckpointStore:
     def latest(self) -> Optional[Checkpoint]:
         """The most recent snapshot, or ``None`` if nothing was recorded."""
         return self._latest
-
-
-_ACTIVE_CHECKPOINT: ContextVar[Optional[CheckpointStore]] = ContextVar(
-    "repro_checkpoint_store", default=None
-)
-
-
-def active_checkpoint() -> Optional[CheckpointStore]:
-    """The checkpoint store of the enclosing solve, if any."""
-    return _ACTIVE_CHECKPOINT.get()
-
-
-@contextmanager
-def checkpointing(store: Optional[CheckpointStore]) -> Iterator[Optional[CheckpointStore]]:
-    """Install a checkpoint store for the duration of one solve.
-
-    ``None`` installs nothing (the unsupervised hot path stays a single
-    ``None`` check per successful iteration).  Like meters and taps, stores
-    do not nest: an inner ``checkpointing`` replaces the outer one.
-    """
-    if store is None:
-        yield None
-        return
-    token = _ACTIVE_CHECKPOINT.set(store)
-    try:
-        yield store
-    finally:
-        _ACTIVE_CHECKPOINT.reset(token)

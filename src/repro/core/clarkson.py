@@ -5,9 +5,9 @@ Clarkson's iterative reweighting scheme driven by eps-net sampling with
 weight boost ``n^{1/r}``, with the weights held as an explicit vector and the
 sample drawn directly from it.  The streaming, coordinator and MPC drivers in
 ``repro.algorithms`` bind the *same* engine onto their model substrates; this
-module is the ground truth the others are tested against and is also the
-natural entry point for users who just want to solve an LP-type problem on
-one machine with sub-linear working memory.
+module is the ground truth the others are tested against.  Users who just
+want to solve an LP-type problem on one machine with sub-linear working
+memory reach it through ``repro.solve(problem, model="sequential")``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .weights import ExplicitWeights, boost_factor
 
 __all__ = [
     "ClarksonParameters",
-    "clarkson_solve",
     "solve_small_problem",
     "practical_parameters",
     "resolve_sampling",
@@ -203,14 +202,18 @@ def _clarkson_solve(
     rng: SeedLike = None,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """Sequential meta-algorithm (Algorithm 1); see :func:`clarkson_solve`.
+    """Sequential meta-algorithm (Algorithm 1).
 
-    Internal entry point used by ``repro.solve(problem, model="sequential")``
-    and the baselines; identical to the public shim minus the deprecation
-    warning.  ``warm_witnesses`` (session API) seeds the weight vector from
-    a prior run's successful-iteration bases: constraint ``i`` starts at
-    ``boost ** #violated-witnesses`` instead of 1, exactly the implicit
-    weight it would carry had the prior iterations happened in this run.
+    The driver behind ``repro.solve(problem, model="sequential")`` and the
+    baselines.  ``params`` defaults to :class:`ClarksonParameters()` and
+    ``rng`` controls all randomness of the run.  ``resources`` records the
+    peak number of constraints materialised at once (the eps-net sample plus
+    the stored bases), which is the quantity Theorem 1 bounds in the
+    streaming model.  ``warm_witnesses`` (session API) seeds the weight
+    vector from a prior run's successful-iteration bases: constraint ``i``
+    starts at ``boost ** #violated-witnesses`` instead of 1, exactly the
+    implicit weight it would carry had the prior iterations happened in this
+    run.
     """
     params = params or ClarksonParameters()
     gen = as_generator(rng)
@@ -278,40 +281,3 @@ def _clarkson_solve(
         },
         warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
     )
-
-
-def clarkson_solve(
-    problem: LPTypeProblem,
-    params: ClarksonParameters | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve ``problem`` with the sequential meta-algorithm (Algorithm 1).
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="sequential")`` instead; this shim
-        emits a :class:`DeprecationWarning` and forwards to the same
-        implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem to solve.
-    params:
-        Algorithm parameters; defaults to :class:`ClarksonParameters()`.
-    rng:
-        Seed or generator controlling all randomness of the run.
-
-    Returns
-    -------
-    SolveResult
-        The optimum together with the iteration trace.  ``resources`` records
-        the peak number of constraints materialised at once (the eps-net
-        sample plus the stored bases), which is the quantity Theorem 1 bounds
-        in the streaming model.
-    """
-    # Imported lazily: repro.api.config depends on this module, so the
-    # shared deprecation helper cannot be imported at module load time.
-    from ..api.registry import warn_legacy_entry_point
-
-    warn_legacy_entry_point("clarkson_solve", "sequential")
-    return _clarkson_solve(problem, params=params, rng=rng)

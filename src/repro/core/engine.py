@@ -39,7 +39,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .budget import active_checkpoint, active_meter, active_tap
+from .context import solve_context
 from .exceptions import InvalidConfigError, IterationLimitError
 from .lptype import BasisResult, LPTypeProblem
 from .result import IterationRecord
@@ -357,13 +357,14 @@ class ClarksonEngine:
         # Per-request budget (if any): charged once per iteration so a
         # budgeted request aborts at an iteration boundary.  Unbudgeted
         # solves see a single ``None`` check per iteration.  The progress
-        # tap (if any) is the service front end's SSE feed.
-        meter = active_meter()
-        tap = active_tap()
-        # Checkpoint store (if any): snapshotted after each successful
-        # iteration so a transport failure can resume from the accumulated
-        # witnesses instead of restarting the solve.
-        store = active_checkpoint()
+        # tap (if any) is the service front end's SSE feed.  The checkpoint
+        # store (if any) is snapshotted after each successful iteration so a
+        # transport failure can resume from the accumulated witnesses
+        # instead of restarting the solve.
+        context = solve_context()
+        meter = context.meter
+        tap = context.tap
+        store = context.checkpoints
 
         for iteration in range(config.budget):
             if meter is not None:

@@ -1,7 +1,7 @@
 """The unified communication fabric under the streaming, coordinator, and MPC models.
 
-One transport layer plus one topology layer replace the three hand-rolled
-substrates:
+One payload layer, one transport layer and one topology layer carry every
+model:
 
 * :mod:`repro.fabric.payload` — typed, serializable message payloads whose
   bit size is *measured from the serialized form*, never declared by callers;
@@ -14,11 +14,9 @@ substrates:
   and the single-reader stream, all feeding one shared
   :class:`~repro.core.accounting.RoundLedger`.
 
-The three model substrates (:mod:`repro.models.coordinator`,
-:mod:`repro.models.mpc`, :mod:`repro.models.streaming`) are thin bindings
-over this package, and the distributed drivers in :mod:`repro.algorithms`
-speak only to topologies — the same driver code runs unchanged on either
-transport and on either coordinator topology.
+The distributed drivers and the baselines in :mod:`repro.algorithms` speak
+only to topologies — the same driver code runs unchanged on every transport
+and on either coordinator topology.
 """
 
 from .payload import (
@@ -28,14 +26,12 @@ from .payload import (
     Flag,
     IndexBlock,
     Payload,
-    RawBits,
     Scalar,
     StatsBlock,
     Vector,
     constraint_rows,
     decode_payload,
     encode_witness_vector,
-    measure_object_bits,
 )
 from .transport import (
     InProcessTransport,
@@ -62,9 +58,7 @@ __all__ = [
     "ConstraintBlock",
     "BasisPayload",
     "StatsBlock",
-    "RawBits",
     "decode_payload",
-    "measure_object_bits",
     "constraint_rows",
     "encode_witness_vector",
     "Transport",

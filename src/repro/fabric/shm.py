@@ -15,9 +15,9 @@ This module replaces the copies with one shared segment:
   **read-only NumPy views** over the shared pages: every worker sees the
   same physical memory, and per-worker RSS stops scaling with the problem.
 * Lifetime is refcounted by *owner tokens*: the fabric session that shipped
-  the object always owns the segment, and an ambient pin
-  (:func:`pinned_shm_owner`, installed by the API session) can extend it
-  across solves.  The segment is unlinked the moment its owner set drains —
+  the object always owns the segment, and the solve context's ``shm_pin``
+  (installed by the API session) can extend it across solves.  The segment
+  is unlinked the moment its owner set drains —
   session release, ``Session.close()`` — and an ``atexit`` sweep unlinks
   anything that survives, so a crashed worker can never leak a segment
   (workers only ever *attach*; the creating process owns the name).
@@ -39,17 +39,17 @@ import pickle
 import threading
 import weakref
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Iterator, Optional
 
 import numpy as np
+
+from ..core.context import solve_context
 
 __all__ = [
     "SharedPackStore",
     "ShippedObject",
     "store",
     "shared_memory_supported",
-    "pinned_shm_owner",
     "new_pin_token",
     "leaked_segments",
 ]
@@ -366,7 +366,7 @@ class SharedPackStore:
         empty segments, and the caller's ordinary pickle path applies.
         """
         owners = {owner}
-        pin = _PIN_OWNER.get()
+        pin = solve_context().shm_pin
         if pin is not None:
             owners.add(pin)
         with self._lock:
@@ -494,35 +494,21 @@ def store() -> SharedPackStore:
 
 
 # --------------------------------------------------------------------- #
-# Ambient pins (the API session's cross-solve lifetime)
+# Pins (the API session's cross-solve lifetime)
 # --------------------------------------------------------------------- #
-
-_PIN_OWNER: ContextVar[Optional[str]] = ContextVar("repro_shm_pin", default=None)
 
 
 def new_pin_token() -> str:
-    """A fresh owner token for a long-lived pin (one per API session)."""
-    return f"pin{next(_PIN_COUNTER)}"
+    """A fresh owner token for a long-lived pin (one per API session).
 
-
-@contextmanager
-def pinned_shm_owner(token: Optional[str]) -> Iterator[None]:
-    """Co-own every segment exported inside the block under ``token``.
-
-    The API session wraps each solve with its own token: the problem's
-    segment then survives the per-solve fabric session release and is
+    The API session installs its token as the solve context's ``shm_pin``
+    around each solve: every segment exported in scope is co-owned by the
+    token, so it survives the per-solve fabric session release and is
     reused by the next solve (the export cache recognises the object), with
     the deterministic unlink moved to ``Session.close()`` /
-    :func:`SharedPackStore.release_owner`.  ``None`` pins nothing.
+    :meth:`SharedPackStore.release_owner`.
     """
-    if token is None:
-        yield
-        return
-    reset = _PIN_OWNER.set(token)
-    try:
-        yield
-    finally:
-        _PIN_OWNER.reset(reset)
+    return f"pin{next(_PIN_COUNTER)}"
 
 
 # --------------------------------------------------------------------- #

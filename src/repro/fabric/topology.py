@@ -18,6 +18,11 @@ concrete topologies cover the paper's models:
 * :class:`StreamTopology` — the single-reader stream: no communication, one
   ledger round per pass.
 
+:func:`partition_indices` splits the constraint indices over the sites or
+machines of a topology.  The coordinator and MPC models assume the input is
+*arbitrarily* partitioned, so algorithms must work for every partition; the
+helper produces the ones tests and benchmarks use, skewed ones included.
+
 Node-local computation is delegated to the attached
 :class:`~repro.fabric.transport.Transport`; the topology only decides *when*
 nodes run and what the message flow around them costs.  Every topology keeps
@@ -34,9 +39,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..core.accounting import BitCostModel, RoundLedger
-from ..core.budget import active_meter
+from ..core.context import solve_context
 from ..core.exceptions import CommunicationError
-from ..resilience.faults import active_fault_plan
+from ..core.rng import SeedLike, as_generator
 from .payload import Payload
 from .transport import InProcessTransport, Transport, new_session
 
@@ -46,6 +51,7 @@ __all__ = [
     "TreeTopology",
     "GridTopology",
     "StreamTopology",
+    "partition_indices",
 ]
 
 #: Hub pseudo-node id used in load accounting by the coordinator topologies.
@@ -96,7 +102,7 @@ class Topology:
     ) -> list[Any]:
         """Run ``fn(state, *args) -> (state, result)`` on the listed nodes."""
         ids = list(range(self.num_nodes)) if node_ids is None else list(node_ids)
-        plan = getattr(self.transport, "_fault_plan", None) or active_fault_plan()
+        plan = getattr(self.transport, "_fault_plan", None) or solve_context().fault_plan
         if plan is not None:
             # Chaos probe: a matching ``slow_node`` spec stalls this node's
             # dispatch — pure latency, never divergence, so faulted solves
@@ -139,8 +145,8 @@ class Topology:
         self.total_bits += bits
         self.max_message_bits = max(self.max_message_bits, bits)
         # Per-request communication budgets (session/service API): every
-        # measured message is charged against the active meter, if any.
-        meter = active_meter()
+        # measured message is charged against the solve's meter, if any.
+        meter = solve_context().meter
         if meter is not None:
             meter.charge_bits(bits)
 
@@ -586,3 +592,57 @@ class StreamTopology(Topology):
             chunk = order[start : start + chunk_size]
             chunk.flags.writeable = False
             yield chunk
+
+
+_PARTITION_METHODS = ("round_robin", "contiguous", "random", "skewed")
+
+
+def partition_indices(
+    num_items: int,
+    num_parts: int,
+    method: str = "round_robin",
+    seed: SeedLike = None,
+    skew: float = 2.0,
+) -> list[np.ndarray]:
+    """Split ``range(num_items)`` into ``num_parts`` disjoint index arrays.
+
+    Parameters
+    ----------
+    num_items:
+        Number of constraints to distribute.
+    num_parts:
+        Number of sites / machines; every part is returned even if empty.
+    method:
+        ``"round_robin"`` (item ``i`` to part ``i mod k``), ``"contiguous"``
+        (equal consecutive blocks), ``"random"`` (uniformly random
+        assignment), or ``"skewed"`` (random assignment with a power-law
+        preference for low-numbered parts, to exercise load imbalance).
+    seed:
+        Randomness for the random / skewed methods.
+    skew:
+        Exponent of the power-law used by the skewed method.
+    """
+    if num_items < 0:
+        raise ValueError("num_items must be non-negative")
+    if num_parts < 1:
+        raise ValueError("num_parts must be >= 1")
+    if method not in _PARTITION_METHODS:
+        raise ValueError(
+            f"unknown partition method {method!r}; choose from {_PARTITION_METHODS}"
+        )
+
+    indices = np.arange(num_items, dtype=int)
+    if method == "round_robin":
+        return [indices[p::num_parts] for p in range(num_parts)]
+    if method == "contiguous":
+        boundaries = np.linspace(0, num_items, num_parts + 1, dtype=int)
+        return [indices[boundaries[p] : boundaries[p + 1]] for p in range(num_parts)]
+
+    rng = as_generator(seed)
+    if method == "random":
+        assignment = rng.integers(0, num_parts, size=num_items)
+    else:  # skewed
+        raw = rng.random(num_parts) ** skew
+        probabilities = raw / raw.sum()
+        assignment = rng.choice(num_parts, size=num_items, p=probabilities)
+    return [indices[assignment == p] for p in range(num_parts)]

@@ -32,13 +32,12 @@ import multiprocessing as mp
 import pickle
 import threading
 import traceback
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from ..core.context import solve_context
 from ..core.exceptions import CommunicationError, TransportFailure
-from ..resilience.faults import active_fault_plan, faulted_delivery
+from ..resilience.faults import faulted_delivery
 from . import shm, wirecodec
 from .payload import Payload, decode_payload
 
@@ -50,7 +49,6 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "ProcessPoolTransport",
-    "pinned_transport",
     "resolve_transport",
     "shared_process_transport",
 ]
@@ -105,21 +103,21 @@ class Transport:
     private = False
 
     #: Fault plan attached directly to this transport (chaos tests that must
-    #: reach thread-pool workers, where the ambient contextvar plan does not
-    #: travel).  ``None`` means "consult the ambient plan only".
+    #: reach thread-pool workers, where the solve context's plan does not
+    #: travel).  ``None`` means "consult the solve context's plan only".
     _fault_plan = None
 
     def attach_fault_plan(self, plan) -> None:
         """Attach a :class:`~repro.resilience.faults.FaultPlan` (or ``None``).
 
-        Unlike :func:`~repro.resilience.faults.fault_injection`, an attached
-        plan is consulted from *every* thread that uses this transport.
+        Unlike ``solve_scope(fault_plan=plan)``, an attached plan is
+        consulted from *every* thread that uses this transport.
         """
         self._fault_plan = plan
 
     def _active_plan(self):
         plan = self._fault_plan
-        return plan if plan is not None else active_fault_plan()
+        return plan if plan is not None else solve_context().fault_plan
 
     def health(self) -> dict:
         """Liveness / degradation summary (deepened by supervised pools)."""
@@ -560,48 +558,22 @@ def _close_shared_pools() -> None:  # pragma: no cover - interpreter shutdown
         _SHARED_POOLS.clear()
 
 
-_PINNED_TRANSPORT: ContextVar[Optional[Transport]] = ContextVar(
-    "repro_pinned_transport", default=None
-)
-
-
-@contextmanager
-def pinned_transport(transport: Optional[Transport]) -> Iterator[None]:
-    """Pin one transport for every :func:`resolve_transport` call in scope.
-
-    The session API uses this to hand its long-lived worker pool to the
-    drivers without widening their signatures: while the pin is active, any
-    driver asking for a transport of the pinned *kind* receives the pinned
-    instance instead of resolving a fresh (or shared) one.  The pinned
-    transport is never marked ``private``, so topologies release their node
-    states on ``close()`` but leave the workers running — the owner (the
-    session) tears the pool down when it exits.
-
-    ``None`` pins nothing (callers can pass their maybe-transport through
-    unconditionally).
-    """
-    if transport is None:
-        yield
-        return
-    token = _PINNED_TRANSPORT.set(transport)
-    try:
-        yield
-    finally:
-        _PINNED_TRANSPORT.reset(token)
-
-
 def resolve_transport(config: "TransportConfig | None") -> Transport:
     """The transport instance for one solve, from its (optional) config.
 
-    A transport pinned via :func:`pinned_transport` wins whenever its kind
-    matches the requested one (sessions reuse one pool across solves).
-    Otherwise ``None`` and ``kind="inprocess"`` return a fresh
-    :class:`InProcessTransport` (per-solve state isolation is free);
-    ``kind="process"`` returns the shared pool by default, or a dedicated
-    pool when ``config.reuse_pool`` is false — the dedicated pool is marked
-    ``private`` so the owning topology tears it down when the run ends.
+    The solve context's ``transport`` wins whenever its kind matches the
+    requested one: the session API pins its long-lived worker pool there,
+    so drivers reuse it across solves without widening their signatures.
+    The pinned transport is never marked ``private``, so topologies release
+    their node states on ``close()`` but leave the workers running — the
+    session tears the pool down when it exits.  Otherwise ``None`` and
+    ``kind="inprocess"`` return a fresh :class:`InProcessTransport`
+    (per-solve state isolation is free); ``kind="process"`` returns the
+    shared pool by default, or a dedicated pool when ``config.reuse_pool``
+    is false — the dedicated pool is marked ``private`` so the owning
+    topology tears it down when the run ends.
     """
-    pinned = _PINNED_TRANSPORT.get()
+    pinned = solve_context().transport
     if pinned is not None:
         requested = "inprocess" if config is None else config.kind
         if requested == pinned.name:

@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .payload import Payload, RawBits, decode_payload
+from .payload import Payload, decode_payload
 
 __all__ = [
     "dumps",
@@ -162,9 +162,7 @@ def _encode(obj: Any, out: bytearray) -> None:
             _encode(key, out)
             _encode(value, out)
         return
-    if isinstance(obj, Payload) and not isinstance(obj, RawBits):
-        # RawBits carries an opaque payload its wire form drops; pickling it
-        # keeps the legacy shims' semantics intact.
+    if isinstance(obj, Payload):
         raw = obj.to_bytes()
         out += _T_PAYLOAD
         out += _pack_I(len(raw))

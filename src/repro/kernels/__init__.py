@@ -1,13 +1,11 @@
 """Pluggable kernel backends for the solver's hot array loops.
 
-The registry knows four backends:
+The registry knows three backends:
 
 * ``numpy`` — the reference implementation (the pre-kernel-layer code path,
   full-array temporaries); the guaranteed fallback.
 * ``fused`` — NumPy-blocked sweeps with the certified float32 margin pass;
   the default.
-* ``fused64`` — the same blocked evaluation in pure float64 (parity
-  triangulation between ``numpy`` and ``fused``).
 * ``numba`` — JIT loops, registered only when numba is importable.
 
 Selection precedence, resolved at solve time (never at import time):
@@ -62,7 +60,7 @@ __all__ = [
 #: Every name ``SolverConfig.kernel_backend`` accepts (availability is
 #: checked at solve time, so a config naming ``numba`` stays valid on a
 #: machine without numba — it just falls back).
-KNOWN_KERNEL_BACKENDS: tuple[str, ...] = ("numpy", "fused", "fused64", "numba")
+KNOWN_KERNEL_BACKENDS: tuple[str, ...] = ("numpy", "fused", "numba")
 
 DEFAULT_KERNEL_BACKEND = "fused"
 
@@ -71,8 +69,7 @@ KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 _REGISTRY: dict[str, KernelBackend] = {
     "numpy": NumpyBackend(),
-    "fused": FusedBackend(name="fused", use_float32=True),
-    "fused64": FusedBackend(name="fused64", use_float32=False),
+    "fused": FusedBackend(),
 }
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
     _REGISTRY["numba"] = NumbaBackend()

@@ -91,7 +91,7 @@ class KernelBackend(abc.ABC):
     for which outputs must match bit for bit.
     """
 
-    #: Registry name (``numpy``, ``fused``, ``fused64``, ``numba``).
+    #: Registry name (``numpy``, ``fused``, ``numba``).
     name: str = "?"
 
     # ------------------------------------------------------------------ #

@@ -1,13 +1,13 @@
-"""The ``fused`` and ``fused64`` NumPy-blocked backends.
+"""The ``fused`` NumPy-blocked backend.
 
-Both backends evaluate the pack primitives in row blocks of
+The backend evaluates the pack primitives in row blocks of
 :data:`~repro.kernels.base.BLOCK_ROWS`, so per-call temporaries are
 block-sized instead of ``n``-sized and the sweep streams each row of the
 constraint matrix exactly once.  Blocked matrix products are bit-identical
 to the reference's full products (same per-row dot, same alignment class per
 block), so masks, counts, and scores match the ``numpy`` backend exactly.
 
-``fused`` additionally runs the margin sweep in float32 with float64
+The margin sweep additionally runs in float32 with float64
 re-certification: scores are first computed from cached float32 mirrors of
 the pack (half the memory traffic of a float64 pass); any row whose float32
 score lands inside a conservative error band around the threshold — or is
@@ -20,9 +20,7 @@ over-estimates the worst-case float32 evaluation error (a standard
 forward-error bound with a ~4x safety factor covering the band's own float32
 rounding; a tiny absolute floor guards the subnormal range), so the sign of
 every certified float32 score agrees with the float64 score and the
-resulting masks are **bit-identical** to the reference.  ``fused64`` is the
-same blocked evaluation in pure float64 — no float32 mirrors, no band — and
-exists to triangulate parity failures (reference vs blocked vs certified).
+resulting masks are **bit-identical** to the reference.
 """
 
 from __future__ import annotations
@@ -89,11 +87,9 @@ def _band_gamma(num_coefficients: int) -> np.float32:
 
 
 class FusedBackend(KernelBackend):
-    """Blocked sweeps; ``use_float32`` switches on the certified-fp32 margin pass."""
+    """Blocked sweeps with the certified-fp32 margin pass."""
 
-    def __init__(self, name: str = "fused", use_float32: bool = True) -> None:
-        self.name = name
-        self.use_float32 = bool(use_float32)
+    name = "fused"
 
     # ------------------------------------------------------------------ #
     # Constraint-pack primitives
@@ -138,30 +134,24 @@ class FusedBackend(KernelBackend):
         offset = float(offset)
         sense = pack.sense
         fancy = isinstance(sel, np.ndarray)
-        if self.use_float32:
-            mirror = _float32_mirror(pack)
-            rows32 = select(mirror.rows, sel)
-            rhs32 = select(mirror.rhs, sel)
-            limit32 = select(mirror.limit, sel)
-            norm32 = select(mirror.norm1, sel)
-            gmag32 = select(mirror.gmag, sel)
-            vec32 = vec.astype(np.float32)
-            off32 = np.float32(offset)
-            vmax32 = np.float32(np.max(np.abs(vec))) if vec.size else np.float32(0.0)
-            gamma = _band_gamma(pack.rows.shape[1])
-            gvmax32 = np.float32(gamma * vmax32)
-            goff32 = np.float32(gamma * np.float32(abs(offset)) + _BAND_FLOOR)
-            n = rows32.shape[0]
-            # float64 arrays stay un-gathered for fancy selectors: only the
-            # (few) band candidates are re-fetched at full precision.
-            rows64 = None if fancy else select(pack.rows, sel)
-            rhs64 = None if fancy else select(pack.rhs, sel)
-            limit64 = None if fancy else select(pack.limit, sel)
-        else:
-            rows64 = select(pack.rows, sel)
-            rhs64 = select(pack.rhs, sel)
-            limit64 = select(pack.limit, sel)
-            n = rows64.shape[0]
+        mirror = _float32_mirror(pack)
+        rows32 = select(mirror.rows, sel)
+        rhs32 = select(mirror.rhs, sel)
+        limit32 = select(mirror.limit, sel)
+        norm32 = select(mirror.norm1, sel)
+        gmag32 = select(mirror.gmag, sel)
+        vec32 = vec.astype(np.float32)
+        off32 = np.float32(offset)
+        vmax32 = np.float32(np.max(np.abs(vec))) if vec.size else np.float32(0.0)
+        gamma = _band_gamma(pack.rows.shape[1])
+        gvmax32 = np.float32(gamma * vmax32)
+        goff32 = np.float32(gamma * np.float32(abs(offset)) + _BAND_FLOOR)
+        n = rows32.shape[0]
+        # float64 arrays stay un-gathered for fancy selectors: only the
+        # (few) band candidates are re-fetched at full precision.
+        rows64 = None if fancy else select(pack.rows, sel)
+        rhs64 = None if fancy else select(pack.rhs, sel)
+        limit64 = None if fancy else select(pack.limit, sel)
 
         w = weights
         # Log-space weights: exponentiate block-by-block into a scratch
@@ -171,15 +161,14 @@ class FusedBackend(KernelBackend):
         logw = log_weights
         blocklen = min(BLOCK_ROWS, max(n, 1))
         wbuf = np.empty(blocklen, dtype=np.float64) if logw is not None else None
-        if self.use_float32:
-            # Every per-block float32 temporary lives in one of these
-            # preallocated scratch buffers: at ~150 blocks per 10^7-row
-            # sweep, per-block allocations would otherwise be a measurable
-            # fraction of the pass.
-            s32buf = np.empty(blocklen, dtype=np.float32)
-            bandbuf = np.empty(blocklen, dtype=np.float32)
-            candbuf = np.empty(blocklen, dtype=bool)
-            finbuf = np.empty(blocklen, dtype=bool)
+        # Every per-block float32 temporary lives in one of these
+        # preallocated scratch buffers: at ~150 blocks per 10^7-row sweep,
+        # per-block allocations would otherwise be a measurable fraction of
+        # the pass.
+        s32buf = np.empty(blocklen, dtype=np.float32)
+        bandbuf = np.empty(blocklen, dtype=np.float32)
+        candbuf = np.empty(blocklen, dtype=bool)
+        finbuf = np.empty(blocklen, dtype=bool)
         mask = np.empty(n, dtype=bool)
         count = 0
         violated = 0.0
@@ -192,55 +181,46 @@ class FusedBackend(KernelBackend):
                 w_scratch = wbuf[:m]
                 np.subtract(logw[blk], log_shift, out=w_scratch)
                 np.exp(w_scratch, out=w_scratch)
-            if self.use_float32:
-                # The float32 association differs from the reference's
-                # (in-place scalar add instead of a fused offset-rhs temp);
-                # the band's safety factor covers the extra rounding, and
-                # only certified signs — not the f32 values — are reported.
-                s32 = s32buf[:m]
-                np.matmul(rows32[blk], vec32, out=s32)
-                np.subtract(s32, rhs32[blk], out=s32)
-                s32 += off32
-                if sense < 0:
-                    np.negative(s32, out=s32)
-                s32 -= limit32[blk]
-                band = bandbuf[:m]
-                np.multiply(norm32[blk], gvmax32, out=band)
-                band += gmag32[blk]
-                band += goff32
-                mask_blk = mask[blk]
-                np.greater(s32, np.float32(0.0), out=mask_blk)
-                cand = candbuf[:m]
-                np.abs(s32, out=s32)
-                np.less_equal(s32, band, out=cand)
-                fin = finbuf[:m]
-                np.isfinite(s32, out=fin)
-                np.logical_not(fin, out=fin)
-                np.logical_or(cand, fin, out=cand)
-                if cand.any():
-                    ci = np.flatnonzero(cand)
-                    if rows64 is None:
-                        gidx = sel[blk][ci]
-                        sub = pack.rows[gidx] @ vec
-                        sub += offset - pack.rhs[gidx]
-                        if sense < 0:
-                            np.negative(sub, out=sub)
-                        sub -= pack.limit[gidx]
-                    else:
-                        sub = rows64[blk][ci] @ vec
-                        sub += offset - rhs64[blk][ci]
-                        if sense < 0:
-                            np.negative(sub, out=sub)
-                        sub -= limit64[blk][ci]
-                    mask_blk[ci] = sub > 0.0
-            else:
-                margins = rows64[blk] @ vec
-                margins += offset - rhs64[blk]
-                if sense < 0:
-                    np.negative(margins, out=margins)
-                margins -= limit64[blk]
-                mask_blk = mask[blk]
-                np.greater(margins, 0.0, out=mask_blk)
+            # The float32 association differs from the reference's
+            # (in-place scalar add instead of a fused offset-rhs temp);
+            # the band's safety factor covers the extra rounding, and
+            # only certified signs — not the f32 values — are reported.
+            s32 = s32buf[:m]
+            np.matmul(rows32[blk], vec32, out=s32)
+            np.subtract(s32, rhs32[blk], out=s32)
+            s32 += off32
+            if sense < 0:
+                np.negative(s32, out=s32)
+            s32 -= limit32[blk]
+            band = bandbuf[:m]
+            np.multiply(norm32[blk], gvmax32, out=band)
+            band += gmag32[blk]
+            band += goff32
+            mask_blk = mask[blk]
+            np.greater(s32, np.float32(0.0), out=mask_blk)
+            cand = candbuf[:m]
+            np.abs(s32, out=s32)
+            np.less_equal(s32, band, out=cand)
+            fin = finbuf[:m]
+            np.isfinite(s32, out=fin)
+            np.logical_not(fin, out=fin)
+            np.logical_or(cand, fin, out=cand)
+            if cand.any():
+                ci = np.flatnonzero(cand)
+                if rows64 is None:
+                    gidx = sel[blk][ci]
+                    sub = pack.rows[gidx] @ vec
+                    sub += offset - pack.rhs[gidx]
+                    if sense < 0:
+                        np.negative(sub, out=sub)
+                    sub -= pack.limit[gidx]
+                else:
+                    sub = rows64[blk][ci] @ vec
+                    sub += offset - rhs64[blk][ci]
+                    if sense < 0:
+                        np.negative(sub, out=sub)
+                    sub -= limit64[blk][ci]
+                mask_blk[ci] = sub > 0.0
             blk_count = int(np.count_nonzero(mask_blk))
             count += blk_count
             if w is None and logw is None:

@@ -101,8 +101,9 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
 class NumbaBackend(FusedBackend):  # pragma: no cover - optional accelerator
     """JIT loops for the pack primitives; everything else inherits ``fused``."""
 
+    name = "numba"
+
     def __init__(self) -> None:
-        super().__init__(name="numba", use_float32=False)
         if not NUMBA_AVAILABLE:
             raise RuntimeError("numba is not importable in this environment")
 

@@ -4,8 +4,8 @@ Four pieces, spanning the stack:
 
 * :mod:`~repro.resilience.faults` — seeded, deterministic fault injection
   (:class:`FaultPlan`) consulted by transports and topologies through the
-  same contextvar pattern as budget meters and progress taps, plus the
-  :class:`RecoveryNotes` scope that reports what recovery did.
+  per-solve context (``solve_scope(fault_plan=...)``), plus the
+  :class:`RecoveryNotes` that report what recovery did.
 * :mod:`~repro.resilience.supervisor` — the supervised
   :class:`SupervisedProcessPoolTransport`: crash detection, bounded restart
   with backoff + jitter, journal-replay state re-establishment, and graceful
@@ -15,28 +15,19 @@ Four pieces, spanning the stack:
   behind the service's structured 503s.
 
 Checkpointing (:class:`CheckpointStore`) lives in :mod:`repro.core.budget`
-next to its sibling contextvar concerns and is re-exported here.
+next to the budget meter and the progress tap, and is re-exported here.
 
 See ``docs/resilience.md`` for the fault model and recovery guarantees.
 """
 
-from ..core.budget import (
-    Checkpoint,
-    CheckpointStore,
-    active_checkpoint,
-    checkpointing,
-)
+from ..core.budget import Checkpoint, CheckpointStore
 from .circuit import CircuitBreaker
 from .faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     RecoveryNotes,
-    active_fault_plan,
-    active_recovery_notes,
-    fault_injection,
     faulted_delivery,
-    recovery_scope,
 )
 from .retry import RetryPolicy
 
@@ -50,13 +41,7 @@ __all__ = [
     "RecoveryNotes",
     "RetryPolicy",
     "SupervisedProcessPoolTransport",
-    "active_checkpoint",
-    "active_fault_plan",
-    "active_recovery_notes",
-    "checkpointing",
-    "fault_injection",
     "faulted_delivery",
-    "recovery_scope",
 ]
 
 

@@ -3,11 +3,14 @@
 A :class:`FaultPlan` is a scripted sequence of infrastructure failures —
 worker crashes, dropped / delayed / corrupted messages, slow nodes — that
 the transports and topologies consult at well-defined *probe points*.  Plans
-travel in a :mod:`contextvars` context variable (the same pattern as
-:class:`~repro.core.budget.BudgetMeter` and
-:class:`~repro.core.budget.ProgressTap`), so chaos tests inject faults
-without the drivers knowing, and the whole scenario is reproducible from a
-seed: :meth:`FaultPlan.seeded` derives the fault script deterministically.
+travel in the per-solve context (``solve_scope(fault_plan=plan)``, next to
+the budget meter and the progress tap of :mod:`repro.core.context`), so
+chaos tests inject faults without the drivers knowing, and the whole
+scenario is reproducible from a seed: :meth:`FaultPlan.seeded` derives the
+fault script deterministically.  Context variables do not cross thread-pool
+boundaries: to reach ``solve_many(max_workers > 1)`` worker threads, attach
+the plan to the shared transport with ``transport.attach_fault_plan(plan)``
+instead.
 
 Probe points
 ------------
@@ -37,11 +40,9 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..core.exceptions import InvalidConfigError
 
@@ -50,11 +51,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RecoveryNotes",
-    "active_fault_plan",
-    "active_recovery_notes",
-    "fault_injection",
     "faulted_delivery",
-    "recovery_scope",
 ]
 
 #: kind -> probe point that enacts it.
@@ -209,36 +206,6 @@ class FaultPlan:
         }
 
 
-_ACTIVE_FAULT_PLAN: ContextVar[Optional[FaultPlan]] = ContextVar(
-    "repro_fault_plan", default=None
-)
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """The fault plan of the enclosing chaos scenario, if any."""
-    return _ACTIVE_FAULT_PLAN.get()
-
-
-@contextmanager
-def fault_injection(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
-    """Install a fault plan for the duration of one scenario.
-
-    ``None`` installs nothing (the fault-free hot path stays a single
-    ``None`` check per probe).  Note that context variables do not cross
-    thread-pool boundaries: to reach ``solve_many(max_workers > 1)`` worker
-    threads, attach the plan to the shared transport with
-    ``transport.attach_fault_plan(plan)`` instead.
-    """
-    if plan is None:
-        yield None
-        return
-    token = _ACTIVE_FAULT_PLAN.set(plan)
-    try:
-        yield plan
-    finally:
-        _ACTIVE_FAULT_PLAN.reset(token)
-
-
 def faulted_delivery(
     plan: FaultPlan, payload: Any, deliver_once: Callable[[Any], Any]
 ) -> Any:
@@ -294,24 +261,3 @@ class RecoveryNotes:
 
     def note(self, message: str) -> None:
         self.events.append(message)
-
-
-_ACTIVE_RECOVERY_NOTES: ContextVar[Optional[RecoveryNotes]] = ContextVar(
-    "repro_recovery_notes", default=None
-)
-
-
-def active_recovery_notes() -> Optional[RecoveryNotes]:
-    """The recovery notes of the enclosing solve, if any."""
-    return _ACTIVE_RECOVERY_NOTES.get()
-
-
-@contextmanager
-def recovery_scope() -> Iterator[RecoveryNotes]:
-    """Install a fresh :class:`RecoveryNotes` for the duration of one solve."""
-    notes = RecoveryNotes()
-    token = _ACTIVE_RECOVERY_NOTES.set(notes)
-    try:
-        yield notes
-    finally:
-        _ACTIVE_RECOVERY_NOTES.reset(token)

@@ -47,6 +47,7 @@ import time
 from random import Random
 from typing import Any, Optional, Sequence
 
+from ..core.context import solve_context
 from ..core.exceptions import CommunicationError, TransportFailure
 from ..fabric import shm, wirecodec
 from ..fabric.transport import (
@@ -54,7 +55,6 @@ from ..fabric.transport import (
     ProcessPoolTransport,
     _worker_main,
 )
-from .faults import active_recovery_notes
 from .retry import RetryPolicy
 
 __all__ = ["SupervisedProcessPoolTransport"]
@@ -190,7 +190,7 @@ class SupervisedProcessPoolTransport(ProcessPoolTransport):
         self._workers[worker] = (replacement, parent_conn)
         self.restarts_per_worker[worker] += 1
         self.total_restarts += 1
-        notes = active_recovery_notes()
+        notes = solve_context().recovery
         if notes is not None:
             notes.restarts += 1
             notes.note(f"worker {worker} restarted (pid {replacement.pid})")
@@ -281,7 +281,7 @@ class SupervisedProcessPoolTransport(ProcessPoolTransport):
                 pass
             if process.is_alive():
                 process.terminate()
-        notes = active_recovery_notes()
+        notes = solve_context().recovery
         if notes is not None:
             notes.degraded = True
             notes.note("pool unrecoverable: degraded to in-process fallback")

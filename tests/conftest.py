@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.clarkson import ClarksonParameters
+from repro import SolverConfig
 from repro.workloads import random_feasible_lp, random_polytope_lp
 
 
@@ -27,8 +27,8 @@ def tiny_lp():
     return random_feasible_lp(30, 2, seed=3).problem
 
 
-def fast_params(r: int = 2, sample_size: int = 400, threshold: float = 0.02):
-    """Cheap meta-algorithm parameters used by the integration tests.
+def fast_config(r: int = 2, sample_size: int = 400, threshold: float = 0.02):
+    """Cheap meta-algorithm configuration used by the integration tests.
 
     The paper-exact Lemma 2.2 constants need millions of constraints before
     the sub-linear regime kicks in; the integration tests instead fix a small
@@ -37,7 +37,7 @@ def fast_params(r: int = 2, sample_size: int = 400, threshold: float = 0.02):
     correctness does not depend on these choices — termination requires the
     violator set to be empty.
     """
-    return ClarksonParameters(
+    return SolverConfig(
         r=r, sample_size=sample_size, success_threshold=threshold, max_iterations=500
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.accounting import BitCostModel, CostMeter, RoundLedger
+from repro.core.accounting import BitCostModel, CostMeter, RoundLedger, StreamingMemory
 
 
 class TestBitCostModel:
@@ -80,6 +80,15 @@ class TestCostMeter:
         meter.add(42)
         snap = meter.snapshot()
         assert snap == {"name": "bits", "total": 42, "peak": 42}
+
+
+class TestStreamingMemory:
+    def test_peak_tracking(self):
+        memory = StreamingMemory()
+        memory.set_usage(items=10, bits=640)
+        memory.set_usage(items=4, bits=256)
+        assert memory.peak_items == 10
+        assert memory.peak_bits == 640
 
 
 class TestRoundLedger:

@@ -1,27 +1,17 @@
-"""Facade-vs-legacy parity: ``repro.solve()`` equals the old entry points.
+"""The ``repro.solve()`` front door: one call per model, typed configs, batches.
 
-The acceptance bar of the API redesign: for every model and every problem
-family, ``solve(problem, model=m, ...)`` and ``solve_many([problem],
-model=m, ...)[0]`` must return results *identical* to the corresponding
-legacy entry point under the same seed — same optimum, same witness, same
-basis, and the same resource accounting — while the legacy entry points
-keep working but emit ``DeprecationWarning``.
+``solve(problem, model=m, ...)``, ``solve_many`` and ``compare_models`` are
+checked here for config coercion, dropped-field warnings, the batch seed
+derivation, and the baselines' reachability.  The module-level instances,
+``FAST`` profile and helpers are shared with other suites.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import compare_models, solve, solve_many
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
-from repro.core.clarkson import clarkson_solve
 from repro.problems import ConvexQuadraticProgram, MinimumEnclosingBall
 from repro.workloads import (
     make_separable_classification,
@@ -30,7 +20,7 @@ from repro.workloads import (
     uniform_ball_points,
 )
 
-from tests.conftest import assert_objective_close, fast_params
+from tests.conftest import assert_objective_close
 
 SEED = 0
 FAST = dict(sample_size=400, success_threshold=0.02, max_iterations=500)
@@ -68,22 +58,6 @@ PROBLEMS = {
 }
 
 
-def _legacy(entry_point, problem, **kwargs):
-    """Run a deprecated entry point with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return entry_point(problem, params=fast_params(), rng=SEED, **kwargs)
-
-
-LEGACY_CALLS = {
-    "sequential": lambda problem: _legacy(clarkson_solve, problem),
-    "streaming": lambda problem: _legacy(streaming_clarkson_solve, problem, r=2),
-    "coordinator": lambda problem: _legacy(
-        coordinator_clarkson_solve, problem, num_sites=4, r=2
-    ),
-    "mpc": lambda problem: _legacy(mpc_clarkson_solve, problem, delta=0.5),
-}
-
 FACADE_KWARGS = {
     "sequential": dict(),
     "streaming": dict(r=2),
@@ -110,30 +84,19 @@ def _witness_vector(witness):
     return np.asarray(witness, dtype=float).ravel()
 
 
-def assert_results_identical(facade_result, legacy_result):
+def assert_results_identical(result, expected):
     """Same optimum, same certificate, same resource semantics."""
-    assert _scalar(facade_result.value) == _scalar(legacy_result.value)
-    assert facade_result.basis_indices == legacy_result.basis_indices
-    assert np.allclose(
-        _witness_vector(facade_result.witness), _witness_vector(legacy_result.witness)
-    )
-    assert facade_result.iterations == legacy_result.iterations
-    assert facade_result.successful_iterations == legacy_result.successful_iterations
-    assert facade_result.resources == legacy_result.resources
-    assert facade_result.metadata == legacy_result.metadata
+    assert _scalar(result.value) == _scalar(expected.value)
+    assert result.basis_indices == expected.basis_indices
+    assert np.allclose(_witness_vector(result.witness), _witness_vector(expected.witness))
+    assert result.iterations == expected.iterations
+    assert result.successful_iterations == expected.successful_iterations
+    assert result.resources == expected.resources
+    assert result.metadata == expected.metadata
 
 
-@pytest.mark.parametrize("model", sorted(LEGACY_CALLS))
-@pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
-def test_solve_matches_legacy_entry_point(model, problem_name):
-    problem = PROBLEMS[problem_name]()
-    facade_result = solve(problem, model=model, seed=SEED, **FAST, **FACADE_KWARGS[model])
-    legacy_result = LEGACY_CALLS[model](problem)
-    assert_results_identical(facade_result, legacy_result)
-
-
-@pytest.mark.parametrize("model", sorted(LEGACY_CALLS))
-def test_solve_many_single_instance_matches_legacy(model):
+@pytest.mark.parametrize("model", sorted(FACADE_KWARGS))
+def test_solve_many_single_instance_matches_solve(model):
     problem = _lp_instance()
     root_seed = 123
     batch = solve_many(
@@ -141,40 +104,10 @@ def test_solve_many_single_instance_matches_legacy(model):
     )
     assert len(batch) == 1
     # solve_many derives the instance seed as SeedSequence(root).spawn(1)[0];
-    # the legacy entry point fed the same child seed must agree exactly.
+    # a single solve fed the same child seed must agree exactly.
     child = np.random.SeedSequence(root_seed).spawn(1)[0]
-    facade_result = batch[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_entry = {
-            "sequential": clarkson_solve,
-            "streaming": streaming_clarkson_solve,
-            "coordinator": coordinator_clarkson_solve,
-            "mpc": mpc_clarkson_solve,
-        }[model]
-        kwargs = {
-            "sequential": dict(),
-            "streaming": dict(r=2),
-            "coordinator": dict(num_sites=4, r=2),
-            "mpc": dict(delta=0.5),
-        }[model]
-        legacy_result = legacy_entry(problem, params=fast_params(), rng=child, **kwargs)
-    assert_results_identical(facade_result, legacy_result)
-
-
-@pytest.mark.parametrize(
-    "entry_point, kwargs",
-    [
-        (clarkson_solve, dict()),
-        (streaming_clarkson_solve, dict(r=2)),
-        (coordinator_clarkson_solve, dict(num_sites=2, r=2)),
-        (mpc_clarkson_solve, dict(delta=0.5)),
-    ],
-)
-def test_legacy_entry_points_emit_deprecation_warning(tiny_lp, entry_point, kwargs):
-    with pytest.warns(DeprecationWarning, match="repro.solve"):
-        result = entry_point(tiny_lp, rng=0, **kwargs)
-    assert result.basis_indices  # still fully functional
+    direct = solve(problem, model=model, seed=child, **FAST, **FACADE_KWARGS[model])
+    assert_results_identical(batch[0], direct)
 
 
 def test_compare_models_runs_the_four_theorem_models(medium_lp):

@@ -139,7 +139,7 @@ def test_describe_model_exposes_capabilities():
     description = describe_model("mpc")
     assert description["name"] == "mpc"
     assert description["config_class"] == "MPCConfig"
-    assert description["replaces"] == "mpc_clarkson_solve"
+    assert "replaces" not in description
     assert "delta" in description["config_keys"]
     assert description["config_keys"]["delta"] == 0.5
     assert "max_machine_load_bits" in description["currencies"]

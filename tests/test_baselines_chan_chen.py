@@ -15,8 +15,10 @@ from repro.algorithms import (
     ship_all_coordinator,
     single_pass_full_memory_streaming,
 )
+from repro.core.accounting import BitCostModel
 from repro.core.exceptions import InvalidInstanceError
-from repro.workloads import random_feasible_lp, random_polytope_lp
+from repro.problems import MinimumEnclosingBall
+from repro.workloads import random_feasible_lp, random_polytope_lp, uniform_ball_points
 
 from tests.conftest import assert_objective_close
 
@@ -47,6 +49,28 @@ class TestShipAllBaseline:
         expected_bits = 400 * problem.payload_num_coefficients() * 64
         assert result.resources.total_communication_bits >= expected_bits
         assert_objective_close(result.value, problem.solve().value)
+
+    @pytest.mark.parametrize("num_sites", [1, 4, 7])
+    @pytest.mark.parametrize("family", ["lp", "meb"])
+    def test_accounting_is_exact(self, family, num_sites):
+        if family == "lp":
+            problem = random_feasible_lp(3000, 4, seed=5).problem
+        else:
+            problem = MinimumEnclosingBall(uniform_ball_points(2000, 3, seed=6))
+        n, width = problem.num_constraints, problem.payload_num_coefficients()
+        cost = BitCostModel()
+        result = ship_all_coordinator(problem, num_sites=num_sites)
+        assert result.resources.rounds == 1
+        # One counter down to every site; every constraint's rows plus its
+        # identity up, exactly once.
+        assert result.resources.total_communication_bits == (
+            num_sites * cost.counters(1) + cost.coefficients(n * width) + cost.counters(n)
+        )
+        # Round robin gives the first site the most constraints: ceil(n / k).
+        largest = -(-n // num_sites)
+        assert result.resources.max_message_bits == (
+            cost.coefficients(largest * width) + cost.counters(largest)
+        )
 
 
 class TestClassicReweighting:

@@ -26,7 +26,8 @@ from test_fabric_transports import (
 )
 
 from repro import TransportConfig
-from repro.resilience import FaultPlan, FaultSpec, fault_injection
+from repro.core.context import solve_scope
+from repro.resilience import FaultPlan, FaultSpec
 
 MODELS = ("coordinator", "mpc")
 
@@ -59,7 +60,7 @@ def test_inprocess_chaos_is_bit_identical(family, model):
     baseline = _solve(problem, model, None)
     for seed in FAULT_SEEDS:
         plan = _seeded_plan(seed, DELIVERY_KINDS)
-        with fault_injection(plan):
+        with solve_scope(fault_plan=plan):
             faulted = _solve(problem, model, None)
         assert_bit_identical(faulted, baseline)
         # The probes really were consulted (the plan saw the solve).
@@ -72,7 +73,7 @@ def test_supervised_process_chaos_is_bit_identical(family, model):
     problem = _build_problem(family)
     baseline = _solve(problem, model, None)
     plan = _seeded_plan(FAULT_SEEDS[0], DELIVERY_KINDS, crash=True)
-    with fault_injection(plan):
+    with solve_scope(fault_plan=plan):
         faulted = _solve(problem, model, SUPERVISED)
     assert_bit_identical(faulted, baseline)
     assert ("dispatch", 0, "worker_crash") in plan.fired, plan.describe()
@@ -85,6 +86,6 @@ def test_streaming_chaos_is_bit_identical():
     baseline = _solve(problem, "streaming", None)
     for seed in FAULT_SEEDS:
         plan = _seeded_plan(seed, DELIVERY_KINDS)
-        with fault_injection(plan):
+        with solve_scope(fault_plan=plan):
             faulted = _solve(problem, "streaming", None)
         assert_bit_identical(faulted, baseline)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import SolverConfig, solve
 from repro.core.clarkson import (
     ClarksonParameters,
-    clarkson_solve,
     practical_parameters,
     resolve_sampling,
     solve_small_problem,
@@ -21,7 +21,7 @@ from repro.workloads import (
 )
 from repro.problems import MinimumEnclosingBall
 
-from tests.conftest import assert_objective_close, fast_params
+from tests.conftest import assert_objective_close, fast_config
 
 
 class TestResolveSampling:
@@ -78,50 +78,58 @@ class TestClarksonSolveLP:
     def test_matches_exact_optimum(self, seed):
         instance = random_polytope_lp(1500, 2, seed=seed)
         exact = instance.problem.solve()
-        result = clarkson_solve(instance.problem, params=fast_params(), rng=seed)
+        result = solve(instance.problem, model="sequential", config=fast_config(), seed=seed)
         assert_objective_close(result.value, exact.value)
 
     def test_final_witness_is_feasible(self):
         instance = random_feasible_lp(1200, 3, seed=5)
-        result = clarkson_solve(instance.problem, params=fast_params(sample_size=500), rng=1)
+        result = solve(
+            instance.problem, model="sequential", config=fast_config(sample_size=500), seed=1
+        )
         assert instance.problem.is_feasible(result.witness)
 
     def test_small_problem_falls_back_to_direct(self):
         problem = random_feasible_lp(50, 2, seed=2).problem
-        result = clarkson_solve(problem, params=ClarksonParameters(r=2), rng=0)
+        result = solve(problem, model="sequential", r=2, seed=0)
         assert result.metadata["r"] == 2
         assert result.iterations == 1
 
     def test_iteration_trace_recorded(self):
         instance = random_polytope_lp(1500, 2, seed=3)
-        result = clarkson_solve(instance.problem, params=fast_params(), rng=2)
+        result = solve(instance.problem, model="sequential", config=fast_config(), seed=2)
         assert len(result.trace) == result.iterations
         assert result.trace[-1].num_violators == 0
         assert all(rec.sample_size > 0 for rec in result.trace)
 
     def test_successful_iterations_bounded(self):
         instance = random_polytope_lp(2000, 2, seed=4)
-        params = practical_parameters(instance.problem, r=2)
-        result = clarkson_solve(instance.problem, params=params, rng=3)
+        config = SolverConfig.practical(instance.problem, r=2, seed=3)
+        result = solve(instance.problem, model="sequential", config=config)
         nu, r = 3, 2
         assert result.successful_iterations <= 4 * nu * r
 
     def test_space_is_sublinear_with_small_samples(self):
         instance = random_polytope_lp(3000, 2, seed=5)
-        result = clarkson_solve(instance.problem, params=fast_params(sample_size=300), rng=4)
+        result = solve(
+            instance.problem, model="sequential", config=fast_config(sample_size=300), seed=4
+        )
         assert result.resources.space_peak_items < 3000
 
     def test_classic_boost_needs_more_iterations(self):
         instance = random_polytope_lp(2000, 2, seed=6)
-        fast = clarkson_solve(
-            instance.problem, params=fast_params(sample_size=300, threshold=0.02), rng=5
-        )
-        slow = clarkson_solve(
+        fast = solve(
             instance.problem,
-            params=ClarksonParameters(
+            model="sequential",
+            config=fast_config(sample_size=300, threshold=0.02),
+            seed=5,
+        )
+        slow = solve(
+            instance.problem,
+            model="sequential",
+            config=SolverConfig(
                 r=2, sample_size=300, success_threshold=0.02, boost=2.0, max_iterations=2000
             ),
-            rng=5,
+            seed=5,
         )
         assert_objective_close(fast.value, slow.value)
         assert slow.successful_iterations >= fast.successful_iterations
@@ -131,7 +139,7 @@ class TestClarksonSolveLP:
         problem.a = problem.a[:0]
         problem.b = problem.b[:0]
         with pytest.raises(ValueError):
-            clarkson_solve(problem)
+            solve(problem, model="sequential")
 
 
 class TestClarksonSolveOtherProblems:
@@ -139,7 +147,7 @@ class TestClarksonSolveOtherProblems:
         data = make_separable_classification(1200, 2, seed=7, margin=0.4)
         problem = svm_problem(data)
         exact = problem.solve()
-        result = clarkson_solve(problem, params=fast_params(sample_size=250), rng=6)
+        result = solve(problem, model="sequential", config=fast_config(sample_size=250), seed=6)
         assert result.value.squared_norm == pytest.approx(
             exact.value.squared_norm, rel=1e-3
         )
@@ -148,5 +156,5 @@ class TestClarksonSolveOtherProblems:
         points = uniform_ball_points(1500, 2, radius=3.0, seed=8)
         problem = MinimumEnclosingBall(points=points)
         exact = problem.solve()
-        result = clarkson_solve(problem, params=fast_params(sample_size=250), rng=7)
+        result = solve(problem, model="sequential", config=fast_config(sample_size=250), seed=7)
         assert result.value.radius == pytest.approx(exact.value.radius, rel=1e-3)

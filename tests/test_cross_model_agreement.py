@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
-from repro.core.clarkson import clarkson_solve
+from repro import solve
 from repro.problems import ConvexQuadraticProgram, MinimumEnclosingBall
 from repro.workloads import (
     make_separable_classification,
@@ -26,7 +21,7 @@ from repro.workloads import (
     uniform_ball_points,
 )
 
-from tests.conftest import fast_params
+from tests.conftest import fast_config
 
 
 def _lp_instance():
@@ -68,18 +63,14 @@ def _scalar(value):
 )
 def test_all_four_models_agree(make_problem):
     problem = make_problem()
-    params = fast_params(sample_size=350)
+    config = fast_config(sample_size=350)
     exact = _scalar(problem.solve().value)
 
     results = {
-        "sequential": clarkson_solve(problem, params=params, rng=1),
-        "streaming": streaming_clarkson_solve(problem, r=2, params=params, rng=2),
-        "coordinator": coordinator_clarkson_solve(
-            problem, num_sites=4, r=2, params=params, rng=3
-        ),
-        "mpc": mpc_clarkson_solve(
-            problem, delta=0.5, num_machines=8, params=params, rng=4
-        ),
+        "sequential": solve(problem, model="sequential", config=config, seed=1),
+        "streaming": solve(problem, model="streaming", config=config, seed=2),
+        "coordinator": solve(problem, model="coordinator", config=config, num_sites=4, seed=3),
+        "mpc": solve(problem, model="mpc", config=config, delta=0.5, num_machines=8, seed=4),
     }
 
     for name, result in results.items():
@@ -101,11 +92,11 @@ def test_all_four_models_agree(make_problem):
 def test_engine_metadata_consistent_across_models(make_problem):
     """All drivers resolve the same sampling regime for the same parameters."""
     problem = make_problem()
-    params = fast_params(sample_size=350)
-    seq = clarkson_solve(problem, params=params, rng=1)
-    stream = streaming_clarkson_solve(problem, r=2, params=params, rng=2)
-    coord = coordinator_clarkson_solve(problem, num_sites=4, r=2, params=params, rng=3)
-    mpc = mpc_clarkson_solve(problem, delta=0.5, num_machines=8, params=params, rng=4)
+    config = fast_config(sample_size=350)
+    seq = solve(problem, model="sequential", config=config, seed=1)
+    stream = solve(problem, model="streaming", config=config, seed=2)
+    coord = solve(problem, model="coordinator", config=config, num_sites=4, seed=3)
+    mpc = solve(problem, model="mpc", config=config, delta=0.5, num_machines=8, seed=4)
     sizes = {r.metadata["sample_size"] for r in (seq, stream, coord, mpc)}
     epsilons = {r.metadata["epsilon"] for r in (seq, stream, coord, mpc)}
     boosts = {r.metadata["boost"] for r in (seq, stream, coord, mpc)}

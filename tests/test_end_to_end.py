@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    exact_in_memory,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
-from repro.core import clarkson_solve
+from repro import solve
+from repro.algorithms import exact_in_memory
 from repro.lower_bounds import (
     interactive_tci_protocol,
     sample_hard_instance,
@@ -26,7 +21,7 @@ from repro.workloads import (
     svm_problem,
 )
 
-from tests.conftest import assert_objective_close, fast_params
+from tests.conftest import assert_objective_close, fast_config
 
 
 class TestAllModelsAgree:
@@ -36,15 +31,13 @@ class TestAllModelsAgree:
     def test_linear_program(self, seed):
         instance = random_polytope_lp(1600, 2, seed=seed)
         exact = exact_in_memory(instance.problem)
-        params = fast_params(sample_size=350)
+        config = fast_config(sample_size=350)
         results = [
-            clarkson_solve(instance.problem, params=params, rng=seed),
-            streaming_clarkson_solve(instance.problem, r=2, params=params, rng=seed),
-            coordinator_clarkson_solve(
-                instance.problem, num_sites=4, r=2, params=params, rng=seed
-            ),
-            mpc_clarkson_solve(
-                instance.problem, delta=0.5, num_machines=8, params=params, rng=seed
+            solve(instance.problem, model="sequential", config=config, seed=seed),
+            solve(instance.problem, model="streaming", config=config, seed=seed),
+            solve(instance.problem, model="coordinator", config=config, num_sites=4, seed=seed),
+            solve(
+                instance.problem, model="mpc", config=config, delta=0.5, num_machines=8, seed=seed
             ),
         ]
         for result in results:
@@ -54,9 +47,9 @@ class TestAllModelsAgree:
         data = make_regression_data(700, 2, seed=3, noise_scale=0.1)
         lp = chebyshev_regression_lp(data)
         exact = exact_in_memory(lp)
-        params = fast_params(sample_size=500)
-        stream = streaming_clarkson_solve(lp, r=2, params=params, rng=1)
-        coord = coordinator_clarkson_solve(lp, num_sites=4, r=2, params=params, rng=1)
+        config = fast_config(sample_size=500)
+        stream = solve(lp, model="streaming", config=config, seed=1)
+        coord = solve(lp, model="coordinator", config=config, num_sites=4, seed=1)
         assert_objective_close(stream.value, exact.value)
         assert_objective_close(coord.value, exact.value)
         # The recovered max-residual is no larger than the noise level.
@@ -66,9 +59,9 @@ class TestAllModelsAgree:
         data = make_separable_classification(900, 2, seed=4, margin=0.5)
         problem = svm_problem(data)
         exact = exact_in_memory(problem)
-        params = fast_params(sample_size=250)
-        stream = streaming_clarkson_solve(problem, r=2, params=params, rng=2)
-        coord = coordinator_clarkson_solve(problem, num_sites=3, r=2, params=params, rng=2)
+        config = fast_config(sample_size=250)
+        stream = solve(problem, model="streaming", config=config, seed=2)
+        coord = solve(problem, model="coordinator", config=config, num_sites=3, seed=2)
         assert stream.value.squared_norm == pytest.approx(
             exact.value.squared_norm, rel=1e-3
         )
@@ -86,14 +79,14 @@ class TestLowerBoundPipeline:
     def test_hard_instance_solved_by_streaming_lp(self):
         hard = sample_hard_instance(branching=6, rounds=2, seed=5)  # n = 36 points
         lp = tci_to_linear_program(hard.instance)
-        result = streaming_clarkson_solve(lp, r=2, rng=3)
+        result = solve(lp, model="streaming", r=2, seed=3)
         decoded = lp_optimum_to_index(result.witness[0], hard.instance.length)
         assert decoded == hard.answer
 
     def test_hard_instance_solved_by_coordinator_lp(self):
         hard = sample_hard_instance(branching=6, rounds=2, seed=6)
         lp = tci_to_linear_program(hard.instance)
-        result = coordinator_clarkson_solve(lp, num_sites=2, r=2, rng=4)
+        result = solve(lp, model="coordinator", num_sites=2, r=2, seed=4)
         decoded = lp_optimum_to_index(result.witness[0], hard.instance.length)
         assert decoded == hard.answer
 
@@ -108,8 +101,8 @@ class TestLowerBoundPipeline:
 class TestResultSummaries:
     def test_summary_contains_model_costs(self):
         instance = random_polytope_lp(1500, 2, seed=8)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(), rng=5
+        result = solve(
+            instance.problem, model="streaming", config=fast_config(), seed=5
         )
         summary = result.summary()
         assert summary["passes"] == result.resources.passes

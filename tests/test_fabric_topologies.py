@@ -1,4 +1,4 @@
-"""Tests for the fabric topologies: star, tree, grid, and stream accounting."""
+"""Tests for the fabric topologies: star, tree, grid, stream accounting, and partitions."""
 
 from __future__ import annotations
 
@@ -9,7 +9,13 @@ from repro import CoordinatorConfig, solve
 from repro.core.accounting import BitCostModel
 from repro.core.exceptions import CommunicationError
 from repro.fabric.payload import Scalar, Vector
-from repro.fabric.topology import GridTopology, StarTopology, StreamTopology, TreeTopology
+from repro.fabric.topology import (
+    GridTopology,
+    StarTopology,
+    StreamTopology,
+    TreeTopology,
+    partition_indices,
+)
 from repro.workloads import random_feasible_lp
 
 COST = BitCostModel()
@@ -39,6 +45,16 @@ class TestStarTopology:
         star.begin_round()
         with pytest.raises(CommunicationError):
             star.send_up(5, Scalar(1.0))
+
+    def test_double_begin_rejected(self):
+        star = StarTopology(2)
+        star.begin_round()
+        with pytest.raises(CommunicationError):
+            star.begin_round()
+
+    def test_end_without_begin_rejected(self):
+        with pytest.raises(CommunicationError):
+            StarTopology(2).end_round()
 
 
 class TestTreeTopology:
@@ -109,12 +125,26 @@ class TestGridTopology:
         with pytest.raises(CommunicationError):
             grid.send(0, 1, Scalar(1.0))
 
+    def test_unknown_machine_rejected(self):
+        grid = GridTopology(2)
+        grid.begin_round()
+        with pytest.raises(CommunicationError):
+            grid.send(0, 9, Scalar(1.0))
+
     def test_broadcast_tree_round_count(self):
         grid = GridTopology(9)
         rounds = grid.broadcast_tree(0, Scalar(1.0), fanout=3)
         assert rounds == 2  # 1 -> 4 -> 9 informed machines
         assert grid.rounds == 2
         assert grid.total_bits == 8 * COST.coefficients(1)
+        # No machine sends more than fanout messages per round.
+        assert grid.max_load_bits <= 3 * COST.coefficients(1)
+
+    def test_broadcast_tree_single_machine_is_free(self):
+        grid = GridTopology(1)
+        assert grid.broadcast_tree(0, Scalar(1.0), fanout=2) == 0
+        assert grid.rounds == 0
+        assert grid.total_bits == 0
 
     def test_aggregate_tree_combines(self):
         grid = GridTopology(5)
@@ -123,6 +153,15 @@ class TestGridTopology:
         )
         assert total == 15
         assert rounds >= 2
+        # No machine receives more than fanout messages per round.
+        assert grid.max_load_bits <= 2 * COST.coefficients(1)
+
+    def test_aggregate_tree_invalid_fanout(self):
+        grid = GridTopology(4)
+        with pytest.raises(ValueError):
+            grid.aggregate_tree(0, Scalar(1.0), fanout=1)
+        with pytest.raises(ValueError):
+            grid.broadcast_tree(0, Scalar(1.0), fanout=1)
 
 
 class TestStreamTopology:
@@ -140,12 +179,65 @@ class TestStreamTopology:
             StreamTopology(3, order=[0, 1])
         with pytest.raises(ValueError):
             StreamTopology(3, order=[0, 1, 1])
+        with pytest.raises(ValueError):
+            StreamTopology(3, order=[0, 1, 5])
+
+    def test_order_returns_copy(self):
+        assert StreamTopology(3).order().tolist() == [0, 1, 2]
+        stream = StreamTopology(4, order=[3, 1, 0, 2])
+        order = stream.order()
+        assert order.tolist() == [3, 1, 0, 2]
+        order[0] = 99
+        assert stream.order().tolist() == [3, 1, 0, 2]
+
+    def test_empty_stream(self):
+        stream = StreamTopology(0)
+        assert stream.order().size == 0
+        stream.record_pass()
+        assert stream.passes == 1
+        assert stream.ledger.total("items") == 0
 
     def test_iter_chunks_preserves_order(self):
         order = np.array([4, 2, 0, 3, 1])
         chunks = list(StreamTopology.iter_chunks(order, 2))
         assert [len(c) for c in chunks] == [2, 2, 1]
         assert np.array_equal(np.concatenate(chunks), order)
+
+
+class TestPartition:
+    @pytest.mark.parametrize("method", ["round_robin", "contiguous", "random", "skewed"])
+    def test_partition_is_disjoint_and_complete(self, method):
+        parts = partition_indices(100, 7, method=method, seed=0)
+        assert len(parts) == 7
+        union = np.concatenate(parts)
+        assert sorted(union.tolist()) == list(range(100))
+
+    def test_round_robin_balance(self):
+        parts = partition_indices(100, 4, method="round_robin")
+        assert all(p.size == 25 for p in parts)
+
+    def test_contiguous_blocks(self):
+        parts = partition_indices(10, 2, method="contiguous")
+        assert list(parts[0]) == list(range(5))
+        assert list(parts[1]) == list(range(5, 10))
+
+    def test_skewed_is_imbalanced(self):
+        parts = partition_indices(2000, 8, method="skewed", seed=1, skew=4.0)
+        sizes = sorted(p.size for p in parts)
+        assert sizes[-1] > sizes[0]
+
+    def test_parts_are_sorted(self):
+        for method in ("round_robin", "random", "skewed"):
+            for part in partition_indices(50, 5, method=method, seed=2):
+                assert np.all(np.diff(part) > 0) or part.size <= 1
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            partition_indices(10, 0)
+        with pytest.raises(ValueError):
+            partition_indices(-1, 2)
+        with pytest.raises(ValueError):
+            partition_indices(10, 2, method="nope")
 
 
 class TestCoordinatorTopologyChoice:

@@ -4,7 +4,7 @@ The kernel layer's contract (see ``repro/kernels/base.py``): every backend
 returns bit-identical violation masks, counts, float64 scores, and sample
 indices; weight *sums* are the one sanctioned exception (blocked accumulation
 may differ in ulps), so they are compared to tolerance.  The grid pins the
-``fused`` / ``fused64`` (and, where importable, ``numba``) backends against
+``fused`` (and, where importable, ``numba``) backends against
 the ``numpy`` reference across all four problem families, plus the batched
 basis solves, the Gumbel sampler, and the resolution/fallback rules.
 """
@@ -328,17 +328,22 @@ def test_resolution_precedence(monkeypatch):
     monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numpy")
     assert kernels.resolve_backend_name(None) == "numpy"
     # An explicit name wins over the environment.
-    assert kernels.resolve_backend_name("fused64") == "fused64"
-    # Unknown names fall back to the default.
+    assert kernels.resolve_backend_name("fused") == "fused"
+    # Unknown names fall back to the default (the warning fires once per
+    # process, so start from an empty record).
+    monkeypatch.setattr(kernels, "_WARNED", set())
     monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "cuda")
-    assert kernels.resolve_backend_name(None) == kernels.DEFAULT_KERNEL_BACKEND
+    with pytest.warns(RuntimeWarning, match="unknown kernel backend 'cuda'"):
+        assert kernels.resolve_backend_name(None) == kernels.DEFAULT_KERNEL_BACKEND
 
 
 @pytest.mark.skipif(
     "numba" in BACKENDS, reason="numba installed: no fallback to exercise"
 )
-def test_known_but_unavailable_backend_falls_back_to_numpy():
-    assert kernels.resolve_backend_name("numba") == "numpy"
+def test_known_but_unavailable_backend_falls_back_to_numpy(monkeypatch):
+    monkeypatch.setattr(kernels, "_WARNED", set())
+    with pytest.warns(RuntimeWarning, match="'numba' is not available"):
+        assert kernels.resolve_backend_name("numba") == "numpy"
 
 
 def test_use_backend_nests_and_restores():
@@ -346,8 +351,8 @@ def test_use_backend_nests_and_restores():
     with kernels.use_backend("numpy") as outer:
         assert outer == "numpy"
         assert kernels.active_backend().name == "numpy"
-        with kernels.use_backend("fused64"):
-            assert kernels.active_backend().name == "fused64"
+        with kernels.use_backend("fused"):
+            assert kernels.active_backend().name == "fused"
         assert kernels.active_backend().name == "numpy"
     assert kernels.active_backend_name() == default
 
@@ -397,7 +402,7 @@ def test_distributed_models_record_backend():
     problem = _build("lp", n=1_200)
     for model in ("streaming", "coordinator", "mpc"):
         config = SolverConfig.practical(
-            problem, r=2, seed=5, kernel_backend="fused64"
+            problem, r=2, seed=5, kernel_backend="numpy"
         )
         result = solve(problem, model=model, config=config)
-        assert result.metadata["kernel_backend"] == "fused64", model
+        assert result.metadata["kernel_backend"] == "numpy", model

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.lptype import ConstraintPack, working_set_solve
 from repro.core.sampling import gumbel_top_k
-from repro.models.streaming import MultiPassStream
+from repro.fabric.topology import StreamTopology
 from repro.problems.linear_program import LinearProgram
 from repro.problems.meb import Ball, MinimumEnclosingBall
 from repro.problems.qp import ConvexQuadraticProgram
@@ -209,10 +209,9 @@ class TestGumbelTopK:
 
 
 def test_scan_chunks_matches_scan_order():
-    stream = MultiPassStream(10, order=[3, 1, 4, 8, 9, 2, 6, 5, 0, 7])
-    items = list(stream.scan())
-    chunked = np.concatenate(list(stream.scan_chunks(3)))
+    stream = StreamTopology(10, order=[3, 1, 4, 8, 9, 2, 6, 5, 0, 7])
+    items = stream.order().tolist()
+    chunked = np.concatenate(list(StreamTopology.iter_chunks(stream.order(), 3)))
     assert chunked.tolist() == items
-    assert stream.passes == 2
     with pytest.raises(ValueError):
-        list(stream.scan_chunks(0))
+        list(StreamTopology.iter_chunks(stream.order(), 0))

@@ -27,7 +27,8 @@ from repro import TransportConfig, solve
 from repro.api.config import SolverConfig
 from repro.api.service import SolverService
 from repro.api.session import Session, SessionPool
-from repro.core.budget import CheckpointStore, checkpointing
+from repro.core.budget import CheckpointStore
+from repro.core.context import solve_context, solve_scope
 from repro.core.exceptions import (
     CircuitOpenError,
     CommunicationError,
@@ -40,9 +41,7 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    fault_injection,
 )
-from repro.resilience.faults import active_fault_plan
 from repro.server.wire import (
     error_body,
     error_to_exception,
@@ -111,13 +110,13 @@ class TestFaultPlan:
 
     def test_fault_injection_contextvar(self):
         plan = FaultPlan([FaultSpec(kind="message_drop")])
-        assert active_fault_plan() is None
-        with fault_injection(plan) as installed:
-            assert installed is plan
-            assert active_fault_plan() is plan
-        assert active_fault_plan() is None
-        with fault_injection(None) as installed:
-            assert installed is None
+        assert solve_context().fault_plan is None
+        with solve_scope(fault_plan=plan) as installed:
+            assert installed.fault_plan is plan
+            assert solve_context().fault_plan is plan
+        assert solve_context().fault_plan is None
+        with solve_scope(fault_plan=None) as installed:
+            assert installed.fault_plan is None
 
 
 # ---------------------------------------------------------------------- #
@@ -263,7 +262,7 @@ class TestCheckpointStore:
     def test_engine_snapshots_successful_iterations(self):
         problem = _build_problem("lp")
         store = CheckpointStore()
-        with checkpointing(store):
+        with solve_scope(checkpoints=store):
             result = solve(problem, model="streaming", **SOLVE_KWARGS)
         assert store.snapshots == result.successful_iterations
         latest = store.latest()
@@ -271,8 +270,8 @@ class TestCheckpointStore:
         assert len(latest.witnesses) == result.successful_iterations
 
     def test_none_store_is_a_no_op(self):
-        with checkpointing(None) as installed:
-            assert installed is None
+        with solve_scope(checkpoints=None) as installed:
+            assert installed.checkpoints is None
 
 
 # ---------------------------------------------------------------------- #

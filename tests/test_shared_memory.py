@@ -22,6 +22,7 @@ import pytest
 
 from repro import TransportConfig, solve
 from repro.api.session import Session
+from repro.core.context import solve_scope
 from repro.fabric import shm, wirecodec
 from repro.fabric.payload import Scalar
 from repro.fabric.transport import ProcessPoolTransport
@@ -125,7 +126,7 @@ class TestSharedPackStore:
     def test_ambient_pin_extends_lifetime(self):
         problem = _big_lp()
         token = shm.new_pin_token()
-        with shm.pinned_shm_owner(token):
+        with solve_scope(shm_pin=token):
             shipped = shm.store().export(problem, owner="solve1")
         shm.store().release_owner("solve1")
         # The pin (the API session's token) still owns the segment.
