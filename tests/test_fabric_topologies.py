@@ -56,6 +56,38 @@ class TestStarTopology:
         with pytest.raises(CommunicationError):
             StarTopology(2).end_round()
 
+    def test_round_and_bit_accounting(self):
+        star = StarTopology(3)
+        star.begin_round()
+        star.send_down(0, Vector(np.zeros(4)))
+        star.send_up(0, Scalar(1.0))
+        star.end_round()
+        assert star.rounds == 1
+        assert star.total_bits == COST.coefficients(4) + COST.coefficients(1)
+        assert star.max_message_bits == COST.coefficients(4)
+        assert star.ledger.total("bits_down") == COST.coefficients(4)
+        assert star.ledger.total("bits_up") == COST.coefficients(1)
+
+    def test_broadcast_counts_per_site(self):
+        star = StarTopology(4)
+        star.begin_round()
+        star.broadcast_down(Vector(np.zeros(2)))
+        star.end_round()
+        assert star.total_bits == 4 * COST.coefficients(2)
+
+    def test_message_after_end_round_rejected(self):
+        star = StarTopology(2)
+        star.begin_round()
+        star.end_round()
+        with pytest.raises(CommunicationError):
+            star.send_up(0, Scalar(1.0))
+
+    def test_message_to_unknown_site_rejected(self):
+        star = StarTopology(2)
+        star.begin_round()
+        with pytest.raises(CommunicationError):
+            star.send_down(5, Scalar(1.0))
+
 
 class TestTreeTopology:
     def test_rounds_scale_with_depth(self):
@@ -120,8 +152,34 @@ class TestGridTopology:
         assert grid.max_load_bits == COST.coefficients(5)  # machine 1 received
         assert grid.total_bits == COST.coefficients(5)
 
+    def test_load_counts_the_heaviest_sender(self):
+        grid = GridTopology(3)
+        grid.begin_round()
+        grid.send(0, 1, Vector(np.zeros(2)))
+        grid.send(0, 2, Vector(np.zeros(3)))
+        grid.end_round()
+        # Machine 0 sent both messages; the heaviest receiver got only one.
+        assert grid.max_load_bits == COST.coefficients(2) + COST.coefficients(3)
+        assert grid.total_bits == COST.coefficients(2) + COST.coefficients(3)
+
+    def test_rounds_counted(self):
+        grid = GridTopology(4)
+        for _ in range(3):
+            grid.begin_round()
+            grid.send(0, 1, Scalar(1.0))
+            grid.end_round()
+        assert grid.rounds == 3
+        assert grid.ledger.total("bits") == 3 * COST.coefficients(1)
+
     def test_send_outside_round_rejected(self):
         grid = GridTopology(2)
+        with pytest.raises(CommunicationError):
+            grid.send(0, 1, Scalar(1.0))
+
+    def test_send_after_end_round_rejected(self):
+        grid = GridTopology(2)
+        grid.begin_round()
+        grid.end_round()
         with pytest.raises(CommunicationError):
             grid.send(0, 1, Scalar(1.0))
 
@@ -137,8 +195,16 @@ class TestGridTopology:
         assert rounds == 2  # 1 -> 4 -> 9 informed machines
         assert grid.rounds == 2
         assert grid.total_bits == 8 * COST.coefficients(1)
-        # No machine sends more than fanout messages per round.
-        assert grid.max_load_bits <= 3 * COST.coefficients(1)
+
+    def test_broadcast_tree_reaches_everyone_with_bounded_load(self):
+        grid = GridTopology(16)
+        rounds = grid.broadcast_tree(0, Scalar(1.0), fanout=4)
+        # 16 machines with fanout 4: 2 rounds suffice.
+        assert rounds == 2
+        assert grid.rounds == 2
+        assert grid.total_bits == 15 * COST.coefficients(1)
+        # No machine ever sends more than fanout messages per round.
+        assert grid.max_load_bits <= 4 * COST.coefficients(1)
 
     def test_broadcast_tree_single_machine_is_free(self):
         grid = GridTopology(1)
@@ -153,8 +219,17 @@ class TestGridTopology:
         )
         assert total == 15
         assert rounds >= 2
+
+    def test_aggregate_tree_combines_values(self):
+        grid = GridTopology(9)
+        values = [float(i) for i in range(9)]
+        rounds, total = grid.aggregate_tree(
+            0, Scalar(1.0), fanout=3, values=values, combine=lambda a, b: a + b
+        )
+        assert total == pytest.approx(sum(values))
+        assert rounds >= 2
         # No machine receives more than fanout messages per round.
-        assert grid.max_load_bits <= 2 * COST.coefficients(1)
+        assert grid.max_load_bits <= 3 * COST.coefficients(1)
 
     def test_aggregate_tree_invalid_fanout(self):
         grid = GridTopology(4)
@@ -174,21 +249,44 @@ class TestStreamTopology:
         assert stream.total_bits == 0
         assert stream.ledger.total("items") == 20
 
+    def test_run_pass_counts_a_pass(self):
+        stream = StreamTopology(3)
+        stream.init_state(0, 0)
+
+        def count_reads(reads, num_items):
+            return reads + num_items, reads + num_items
+
+        assert stream.run_pass(count_reads, stream.num_items) == 3
+        assert stream.run_pass(count_reads, stream.num_items) == 6
+        assert stream.passes == 2
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             StreamTopology(3, order=[0, 1])
         with pytest.raises(ValueError):
             StreamTopology(3, order=[0, 1, 1])
+
+    def test_out_of_range_order_rejected(self):
         with pytest.raises(ValueError):
             StreamTopology(3, order=[0, 1, 5])
+        with pytest.raises(ValueError):
+            StreamTopology(3, order=[-1, 0, 1])
+
+    def test_natural_order_by_default(self):
+        stream = StreamTopology(5)
+        assert stream.order().tolist() == [0, 1, 2, 3, 4]
+        chunks = StreamTopology.iter_chunks(stream.order(), 2)
+        assert np.concatenate(list(chunks)).tolist() == [0, 1, 2, 3, 4]
+
+    def test_custom_order(self):
+        stream = StreamTopology(4, order=[3, 1, 0, 2])
+        assert stream.order().tolist() == [3, 1, 0, 2]
 
     def test_order_returns_copy(self):
-        assert StreamTopology(3).order().tolist() == [0, 1, 2]
-        stream = StreamTopology(4, order=[3, 1, 0, 2])
+        stream = StreamTopology(3)
         order = stream.order()
-        assert order.tolist() == [3, 1, 0, 2]
         order[0] = 99
-        assert stream.order().tolist() == [3, 1, 0, 2]
+        assert stream.order().tolist() == [0, 1, 2]
 
     def test_empty_stream(self):
         stream = StreamTopology(0)
