@@ -72,7 +72,6 @@ from .api import (
 from .api.session import session
 from .core import (
     BasisResult,
-    ClarksonParameters,
     CommunicationSummary,
     LPTypeProblem,
     SolveResult,
@@ -152,7 +151,6 @@ __all__ = [
     "ship_all_coordinator",
     "single_pass_full_memory_streaming",
     "BasisResult",
-    "ClarksonParameters",
     "CommunicationSummary",
     "LPTypeProblem",
     "SolveResult",

@@ -17,9 +17,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import ClarksonParameters, _clarkson_solve, solve_small_problem
+from ..core.clarkson import _clarkson_solve, solve_small_problem
 from ..core.lptype import LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
 from ..core.rng import SeedLike
@@ -115,8 +117,10 @@ def clarkson_classic_reweighting(
     iterations instead of ``O(nu r)``; the A1 ablation benchmark measures
     the difference directly.
     """
-    params = ClarksonParameters(r=r, boost=2.0, sample_scale=sample_scale, max_iterations=4000)
-    result = _clarkson_solve(problem, params=params, rng=rng)
+    config = SolverConfig(
+        r=r, seed=rng, boost=2.0, sample_scale=sample_scale, max_iterations=4000
+    )
+    result = _clarkson_solve(problem, config)
     result.metadata["algorithm"] = "clarkson_classic_reweighting"
     return result
 
@@ -188,13 +192,9 @@ def _run_ship_all(problem: LPTypeProblem, config: CoordinatorConfig) -> SolveRes
     currencies=("space_peak_items",),
 )
 def _run_classic(problem: LPTypeProblem, config: SolverConfig) -> SolveResult:
-    from dataclasses import replace
-
-    params = replace(config.to_parameters(), boost=2.0)
-    if config.max_iterations is None:
-        # The factor-2 boost needs far more iterations than the Lemma 3.3
-        # budget the engine would otherwise derive.
-        params = replace(params, max_iterations=4000)
-    result = _clarkson_solve(problem, params=params, rng=config.seed)
+    # Unless the config sets one, the factor-2 boost needs a far larger
+    # iteration budget than the Lemma 3.3 one the engine would derive.
+    config = replace(config, boost=2.0, max_iterations=config.max_iterations or 4000)
+    result = _clarkson_solve(problem, config)
     result.metadata["algorithm"] = "clarkson_classic_reweighting"
     return result

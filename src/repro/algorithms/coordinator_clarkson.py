@@ -38,15 +38,13 @@ sampling strategy, round 3 inside the weight substrate.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import BitCostModel
 from ..core.clarkson import (
-    ClarksonParameters,
     _warm_stats,
     resolve_sampling,
     solve_small_problem,
@@ -63,7 +61,7 @@ from ..core.engine import (
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator, spawn
+from ..core.rng import as_generator, spawn
 from ..core.sampling import multinomial_split, weighted_sample_without_replacement
 from ..core.weights import ExplicitWeights, boost_factor
 from ..fabric.payload import (
@@ -78,7 +76,7 @@ from ..fabric.payload import (
 )
 from ..fabric.topology import StarTopology, TreeTopology, partition_indices
 from ..fabric.transport import SharedRef, resolve_transport
-from ..api.config import CoordinatorConfig, TransportConfig
+from ..api.config import CoordinatorConfig
 from ..api.registry import register_model
 
 __all__: list[str] = []
@@ -294,36 +292,25 @@ class PartitionedWeightSubstrate(WeightSubstrate):
 
 
 def _build_topology(
-    num_sites: int,
-    topology: str,
-    fanout: int,
-    transport_config: Optional[TransportConfig],
-    cost_model: BitCostModel,
+    num_sites: int, config: CoordinatorConfig, cost_model: BitCostModel
 ) -> StarTopology | TreeTopology:
-    transport = resolve_transport(transport_config)
-    if topology == "tree":
-        return TreeTopology(num_sites, fanout=fanout, transport=transport, cost_model=cost_model)
-    if topology == "star":
-        return StarTopology(num_sites, transport=transport, cost_model=cost_model)
-    raise ValueError(f"unknown coordinator topology {topology!r}")
+    # CoordinatorConfig has validated the topology: "star" or "tree".
+    transport = resolve_transport(config.transport)
+    if config.topology == "tree":
+        return TreeTopology(
+            num_sites, fanout=config.fanout, transport=transport, cost_model=cost_model
+        )
+    return StarTopology(num_sites, transport=transport, cost_model=cost_model)
 
 
 def _coordinator_clarkson_solve(
     problem: LPTypeProblem,
-    num_sites: int = 4,
-    r: int = 2,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-    topology: str = "star",
-    fanout: int = 2,
-    transport: Optional[TransportConfig] = None,
+    config: CoordinatorConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
     """The coordinator driver behind ``repro.solve(problem, model="coordinator")``.
 
-    The arguments mirror :class:`~repro.api.config.CoordinatorConfig`;
+    Registered as the model's runner and warm runner;
     ``resources.rounds`` and ``resources.total_communication_bits`` carry
     the coordinator-model costs and ``result.communication`` the per-round
     trace.  ``warm_witnesses`` (session API) seeds the per-site weight
@@ -331,19 +318,17 @@ def _coordinator_clarkson_solve(
     already broadcast those bases to every site, so re-deriving the local
     weights costs no additional communication.
     """
-    base_params = params or ClarksonParameters()
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    cost_model = cost_model or BitCostModel()
-
+    cost_model = config.cost_model or BitCostModel()
+    partition = config.partition
     if partition is None:
-        partition = partition_indices(n, num_sites, method="round_robin")
-    net = _build_topology(len(partition), topology, fanout, transport, cost_model)
+        partition = partition_indices(n, config.num_sites, method="round_robin")
+    net = _build_topology(len(partition), config, cost_model)
 
-    sample_size, epsilon = resolve_sampling(problem, params)
-    boost = params.boost if params.boost is not None else boost_factor(n, params.r)
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    sample_size, epsilon = resolve_sampling(problem, config)
+    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
 
     state = _CoordinatorState(
         problem=problem,
@@ -382,9 +367,9 @@ def _coordinator_clarkson_solve(
             result.metadata.update(
                 {
                     "algorithm": "coordinator_clarkson",
-                    "r": params.r,
+                    "r": config.r,
                     "k": net.num_sites,
-                    "topology": topology,
+                    "topology": config.topology,
                     "transport": net.transport.name,
                     "kernel_backend": backend,
                 }
@@ -399,10 +384,10 @@ def _coordinator_clarkson_solve(
             config=EngineConfig(
                 sample_size=sample_size,
                 epsilon=epsilon,
-                budget=iteration_budget(problem, params.r, params.max_iterations),
-                keep_trace=params.keep_trace,
+                budget=iteration_budget(problem, config.r, config.max_iterations),
+                keep_trace=config.keep_trace,
                 name="coordinator Clarkson",
-                basis_cache=params.basis_cache,
+                basis_cache=config.basis_cache,
             ),
         )
         with kernels.use_backend(backend):
@@ -431,12 +416,12 @@ def _coordinator_clarkson_solve(
         trace=outcome.trace,
         metadata={
             "algorithm": "coordinator_clarkson",
-            "r": params.r,
+            "r": config.r,
             "k": net.num_sites,
             "epsilon": epsilon,
             "sample_size": sample_size,
             "boost": boost,
-            "topology": topology,
+            "topology": config.topology,
             "transport": net.transport.name,
             "kernel_backend": backend,
         },
@@ -444,29 +429,9 @@ def _coordinator_clarkson_solve(
     )
 
 
-def _run_coordinator(
-    problem: LPTypeProblem, config: CoordinatorConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _coordinator_clarkson_solve(
-        problem,
-        num_sites=config.num_sites,
-        r=config.r,
-        partition=config.partition,
-        params=config.to_parameters(),
-        cost_model=config.cost_model,
-        rng=config.seed,
-        topology=config.topology,
-        fanout=config.fanout,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "coordinator",
-    _run_coordinator,
+    _coordinator_clarkson_solve,
     config_cls=CoordinatorConfig,
     description=(
         "Coordinator-model Clarkson (Theorem 2): per-site explicit weights, "
@@ -481,6 +446,6 @@ register_model(
         "machine_count",
     ),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_coordinator,
+    warm_runner=_coordinator_clarkson_solve,
     capabilities=("warm_restart", "ingest"),
 )

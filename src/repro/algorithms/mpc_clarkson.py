@@ -46,7 +46,6 @@ import numpy as np
 from .. import kernels
 from ..core.accounting import BitCostModel
 from ..core.clarkson import (
-    ClarksonParameters,
     _warm_stats,
     resolve_sampling,
     solve_small_problem,
@@ -63,7 +62,7 @@ from ..core.engine import (
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator, spawn
+from ..core.rng import as_generator, spawn
 from ..core.sampling import gumbel_top_k
 from ..core.weights import boost_factor
 from ..fabric.payload import (
@@ -77,7 +76,7 @@ from ..fabric.payload import (
 )
 from ..fabric.topology import GridTopology, partition_indices
 from ..fabric.transport import SharedRef, resolve_transport
-from ..api.config import MPCConfig, TransportConfig
+from ..api.config import MPCConfig
 from ..api.registry import register_model
 
 __all__ = ["machines_for_load"]
@@ -334,43 +333,38 @@ class TreeImplicitSubstrate(WeightSubstrate):
 
 def _mpc_clarkson_solve(
     problem: LPTypeProblem,
-    delta: float = 0.5,
-    num_machines: int | None = None,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-    transport: Optional[TransportConfig] = None,
+    config: MPCConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
     """The MPC driver behind ``repro.solve(problem, model="mpc")``.
 
-    The arguments mirror :class:`~repro.api.config.MPCConfig`;
-    ``resources.rounds`` and ``resources.max_machine_load_bits`` carry the
-    MPC costs and ``result.communication`` the per-round trace.
-    ``warm_witnesses`` (session API) seeds every machine's implicit
-    stored-bases weights with a prior run's successful-iteration witnesses.
+    Registered as the model's runner and warm runner; ``resources.rounds``
+    and ``resources.max_machine_load_bits`` carry the MPC costs and
+    ``result.communication`` the per-round trace.  The model fixes
+    ``r = ceil(1/delta)`` and ignores ``config.r``.  ``warm_witnesses``
+    (session API) seeds every machine's implicit stored-bases weights with a
+    prior run's successful-iteration witnesses.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    base_params = params or ClarksonParameters()
-    r = max(1, int(math.ceil(1.0 / delta)))
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    delta = config.delta
+    config = replace(config, r=max(1, int(math.ceil(1.0 / delta))))
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    cost_model = cost_model or BitCostModel()
+    cost_model = config.cost_model or BitCostModel()
 
-    k = num_machines or machines_for_load(n, delta)
+    k = config.num_machines or machines_for_load(n, delta)
+    partition = config.partition
     if partition is None:
         partition = partition_indices(n, k, method="round_robin")
     topology = GridTopology(
-        len(partition), transport=resolve_transport(transport), cost_model=cost_model
+        len(partition),
+        transport=resolve_transport(config.transport),
+        cost_model=cost_model,
     )
     fanout = max(2, int(math.ceil(n ** delta)))
 
-    sample_size, epsilon = resolve_sampling(problem, params)
-    boost = params.boost if params.boost is not None else boost_factor(n, params.r)
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    sample_size, epsilon = resolve_sampling(problem, config)
+    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
 
     state = _MPCState(
         problem=problem,
@@ -426,10 +420,10 @@ def _mpc_clarkson_solve(
             config=EngineConfig(
                 sample_size=sample_size,
                 epsilon=epsilon,
-                budget=iteration_budget(problem, params.r, params.max_iterations),
-                keep_trace=params.keep_trace,
+                budget=iteration_budget(problem, config.r, config.max_iterations),
+                keep_trace=config.keep_trace,
                 name="MPC Clarkson",
-                basis_cache=params.basis_cache,
+                basis_cache=config.basis_cache,
             ),
         )
         with kernels.use_backend(backend):
@@ -459,7 +453,7 @@ def _mpc_clarkson_solve(
         metadata={
             "algorithm": "mpc_clarkson",
             "delta": delta,
-            "r": params.r,
+            "r": config.r,
             "k": topology.num_machines,
             "epsilon": epsilon,
             "sample_size": sample_size,
@@ -472,27 +466,9 @@ def _mpc_clarkson_solve(
     )
 
 
-def _run_mpc(
-    problem: LPTypeProblem, config: MPCConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _mpc_clarkson_solve(
-        problem,
-        delta=config.delta,
-        num_machines=config.num_machines,
-        partition=config.partition,
-        params=config.to_parameters(),
-        cost_model=config.cost_model,
-        rng=config.seed,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "mpc",
-    _run_mpc,
+    _mpc_clarkson_solve,
     config_cls=MPCConfig,
     description=(
         "MPC Clarkson (Theorem 3): implicit weights with tree "
@@ -506,6 +482,6 @@ register_model(
         "machine_count",
     ),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_mpc,
+    warm_runner=_mpc_clarkson_solve,
     capabilities=("warm_restart", "ingest"),
 )

@@ -44,15 +44,13 @@ only provides the streaming substrate binding.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import StreamingMemory
 from ..core.clarkson import (
-    ClarksonParameters,
     _warm_stats,
     resolve_sampling,
     solve_small_problem,
@@ -68,12 +66,12 @@ from ..core.engine import (
 )
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator
+from ..core.rng import as_generator
 from ..core.sampling import exponential_keys
 from ..core.weights import boost_factor
 from ..fabric.topology import StreamTopology
 from ..fabric.transport import SharedRef, resolve_transport
-from ..api.config import StreamingConfig, TransportConfig
+from ..api.config import StreamingConfig
 from ..api.registry import register_model
 
 __all__: list[str] = []
@@ -250,32 +248,28 @@ class ImplicitStreamSubstrate(WeightSubstrate):
 
 def _streaming_clarkson_solve(
     problem: LPTypeProblem,
-    r: int = 2,
-    order: Sequence[int] | np.ndarray | None = None,
-    params: ClarksonParameters | None = None,
-    rng: SeedLike = None,
-    transport: Optional[TransportConfig] = None,
+    config: StreamingConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
     """The streaming driver behind ``repro.solve(problem, model="streaming")``.
 
-    The arguments mirror :class:`~repro.api.config.StreamingConfig`;
+    Registered as the model's runner and warm runner;
     ``resources.passes`` and ``resources.space_peak_items`` /
     ``space_peak_bits`` carry the streaming costs of the run.
     ``warm_witnesses`` (session API) seeds the implicit stored-bases weights
     with a prior run's successful-iteration witnesses.
     """
-    base_params = params or ClarksonParameters()
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    topology = StreamTopology(n, order=order, transport=resolve_transport(transport))
+    topology = StreamTopology(
+        n, order=config.order, transport=resolve_transport(config.transport)
+    )
     memory = StreamingMemory()
     bit_size = problem.bit_size()
 
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
     with kernels.use_backend(backend):
-        sample_size, epsilon = resolve_sampling(problem, params)
+        sample_size, epsilon = resolve_sampling(problem, config)
         if sample_size >= n:
             # The sample would contain the whole stream: one pass, full storage.
             topology.record_pass()
@@ -287,14 +281,14 @@ def _streaming_clarkson_solve(
             result.metadata.update(
                 {
                     "algorithm": "streaming_clarkson",
-                    "r": params.r,
+                    "r": config.r,
                     "kernel_backend": backend,
                 }
             )
             result.warm = _warm_stats(warm_witnesses, [])
             return result
 
-        boost = params.boost if params.boost is not None else boost_factor(n, params.r)
+        boost = config.boost if config.boost is not None else boost_factor(n, config.r)
         try:
             # State installation already talks to the transport (sharing the
             # problem, shipping the reader state), so it runs inside the same
@@ -317,10 +311,10 @@ def _streaming_clarkson_solve(
                 config=EngineConfig(
                     sample_size=sample_size,
                     epsilon=epsilon,
-                    budget=iteration_budget(problem, params.r, params.max_iterations),
-                    keep_trace=params.keep_trace,
+                    budget=iteration_budget(problem, config.r, config.max_iterations),
+                    keep_trace=config.keep_trace,
                     name="streaming Clarkson",
-                    basis_cache=params.basis_cache,
+                    basis_cache=config.basis_cache,
                 ),
             )
             outcome = engine.run()
@@ -346,7 +340,7 @@ def _streaming_clarkson_solve(
         trace=outcome.trace,
         metadata={
             "algorithm": "streaming_clarkson",
-            "r": params.r,
+            "r": config.r,
             "epsilon": epsilon,
             "sample_size": sample_size,
             "boost": boost,
@@ -358,25 +352,9 @@ def _streaming_clarkson_solve(
     )
 
 
-def _run_streaming(
-    problem: LPTypeProblem, config: StreamingConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _streaming_clarkson_solve(
-        problem,
-        r=config.r,
-        order=config.order,
-        params=config.to_parameters(),
-        rng=config.seed,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "streaming",
-    _run_streaming,
+    _streaming_clarkson_solve,
     config_cls=StreamingConfig,
     description=(
         "Multi-pass streaming Clarkson (Theorem 1): implicit stored-bases "
@@ -384,6 +362,6 @@ register_model(
     ),
     currencies=("passes", "space_peak_items", "space_peak_bits"),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_streaming,
+    warm_runner=_streaming_clarkson_solve,
     capabilities=("warm_restart", "ingest"),
 )

@@ -3,9 +3,10 @@
 Five subcommands, all thin wrappers over the public API:
 
 * ``list`` — the registry, via ``describe_model`` / ``describe_problem``;
-* ``solve`` — build a synthetic instance of a registered problem family and
-  solve it in a registered model (``--set key=value`` forwards config
-  fields); ``--json`` prints the full ``SolveResult.to_dict()`` wire form;
+* ``solve`` — build a synthetic instance of a registered problem family
+  (every family whose descriptor names a generator) and solve it in a
+  registered model (``--set key=value`` forwards config fields); ``--json``
+  prints the full ``SolveResult.to_dict()`` wire form;
 * ``serve`` — boot the HTTP/SSE front end (``repro.server.ReproServer``)
   and serve until SIGINT, then drain in-flight tickets
   (``SolverService.shutdown(wait=True)``) before exiting;
@@ -25,11 +26,9 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-__all__ = ["main"]
+from .registry import get_family, problem_families
 
-#: Problem families the ``solve`` subcommand can synthesise (aliases of the
-#: registered names; the instance generators live in ``repro.workloads``).
-SOLVE_FAMILIES = ("lp", "meb", "svm", "qp")
+__all__ = ["main"]
 
 
 def _coerce(text: str) -> Any:
@@ -48,36 +47,6 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, Any]:
             raise SystemExit(f"--set expects key=value, got {pair!r}")
         overrides[key] = _coerce(value)
     return overrides
-
-
-def _build_instance(family: str, n: int, d: int, seed: int):
-    """A synthetic instance of one problem family (mirrors the perf suite)."""
-    import numpy as np
-
-    from ..problems.meb import MinimumEnclosingBall
-    from ..problems.qp import ConvexQuadraticProgram
-    from ..workloads import (
-        make_separable_classification,
-        random_polytope_lp,
-        svm_problem,
-        uniform_ball_points,
-    )
-
-    if family == "lp":
-        return random_polytope_lp(n, d, seed=seed).problem
-    if family == "meb":
-        return MinimumEnclosingBall(uniform_ball_points(n, d, seed=seed))
-    if family == "svm":
-        return svm_problem(make_separable_classification(n, d, seed=seed))
-    if family == "qp":
-        rng = np.random.default_rng(seed)
-        q_matrix = np.diag(np.linspace(1.0, 2.0, d))
-        normals = rng.normal(size=(n, d))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        anchor = rng.uniform(-1.0, 1.0, size=d)
-        h_vector = normals @ anchor - rng.uniform(0.1, 1.0, size=n)
-        return ConvexQuadraticProgram(q_matrix, rng.normal(size=d), normals, h_vector)
-    raise SystemExit(f"unknown problem family {family!r}; choose from {SOLVE_FAMILIES}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -113,7 +82,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from .config import SolverConfig
     from .facade import solve
 
-    problem = _build_instance(args.problem, args.n, args.d, args.seed)
+    problem = get_family(args.problem).synthetic(args.n, args.d, args.seed)
     overrides = _parse_overrides(args.set or [])
     overrides.setdefault("seed", args.seed)
     config: Optional[SolverConfig] = None
@@ -259,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser(
         "solve", help="solve a synthetic instance of a registered problem family"
     )
-    p_solve.add_argument("--problem", choices=SOLVE_FAMILIES, default="lp")
+    p_solve.add_argument(
+        "--problem",
+        choices=[f.name for f in problem_families() if f.synthetic is not None],
+        default="lp",
+    )
     p_solve.add_argument("--model", default="streaming")
     p_solve.add_argument("--n", type=int, default=5000, help="constraint count")
     p_solve.add_argument("--d", type=int, default=3, help="ambient dimension")

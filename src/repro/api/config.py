@@ -17,21 +17,20 @@ MPC            :class:`MPCConfig`         ``delta``, ``num_machines``, ``partiti
 Validation happens at construction time and raises
 :class:`~repro.core.exceptions.InvalidConfigError` naming the offending
 field, so a bad value fails before any pass, round, or message is spent.
-:meth:`SolverConfig.to_parameters` normalises a config into the
-:class:`~repro.core.clarkson.ClarksonParameters` the drivers consume, and
+The drivers read the typed config directly, and
 :meth:`SolverConfig.practical` builds the constant-free "practical profile"
 used by the examples and benchmarks.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import ClarksonParameters, practical_parameters
 from ..core.exceptions import InvalidConfigError
 from ..core.rng import SeedLike
 
@@ -327,21 +326,6 @@ class SolverConfig:
                 f"{type(self).__name__}.{field_name} {message} (got {value!r})"
             )
 
-    def to_parameters(self) -> ClarksonParameters:
-        """Normalise into the :class:`ClarksonParameters` the drivers consume."""
-        return ClarksonParameters(
-            r=self.r,
-            sample_scale=self.sample_scale,
-            failure_probability=self.failure_probability,
-            boost=self.boost,
-            max_iterations=self.max_iterations,
-            keep_trace=self.keep_trace,
-            basis_cache=self.basis_cache,
-            sample_size=self.sample_size,
-            success_threshold=self.success_threshold,
-            kernel_backend=self.kernel_backend,
-        )
-
     @classmethod
     def practical(
         cls,
@@ -352,22 +336,30 @@ class SolverConfig:
     ) -> "SolverConfig":
         """The constant-free "practical profile" as a typed config.
 
-        Same asymptotics as the paper (samples of ``~ n^{1/r}``, success
-        threshold of ``~ 1/n^{1/r}``) with the loose Lemma 2.2 constants
-        replaced by Clarkson's sampling bound — see
-        :func:`repro.core.clarkson.practical_parameters`.  Extra keyword
-        arguments become fields of the returned config (``seed=0``, ...);
-        model-specific keys require calling ``practical`` on that model's
-        config class (``CoordinatorConfig.practical(problem, num_sites=8)``).
+        The Lemma 2.2 constants put the sub-linear sampling regime out of
+        reach below ~10^7 constraints.  This profile keeps the paper's
+        scaling but uses Clarkson's random-sampling bound instead: success
+        threshold ``eps = min(0.45, ln(n) / (2 nu r n^{1/r}))``, still small
+        enough for the Lemma 3.3 bound of ``O(nu r)`` successful iterations,
+        and sample size ``m = min(n, ceil(safety * nu / eps) + nu)``, whose
+        expected violator weight fraction is at most ``nu / (m - nu)``.
+        Extra keyword arguments become fields of the returned config
+        (``seed=0``, ...); model-specific keys require calling ``practical``
+        on that model's config class
+        (``CoordinatorConfig.practical(problem, num_sites=8)``).
         """
-        params = practical_parameters(
-            problem, r=r, safety=safety, keep_trace=bool(overrides.pop("keep_trace", True))
-        )
+        if r < 1:
+            raise InvalidConfigError(f"{cls.__name__}.r must be >= 1 (got {r!r})")
+        n = problem.num_constraints
+        nu = problem.combinatorial_dimension
+        epsilon = math.log(max(3, n)) / (2.0 * nu * r * n ** (1.0 / r))
+        epsilon = min(0.45, epsilon)
+        sample_size = int(math.ceil(safety * nu / epsilon)) + nu
         base: dict[str, Any] = dict(
             r=r,
-            keep_trace=params.keep_trace,
-            sample_size=params.sample_size,
-            success_threshold=params.success_threshold,
+            keep_trace=bool(overrides.pop("keep_trace", True)),
+            sample_size=min(sample_size, n),
+            success_threshold=epsilon,
         )
         base.update(overrides)
         return construct_config(cls, base)

@@ -14,7 +14,8 @@ baselines) registers a :class:`ModelSpec` describing
   is measured in (passes, rounds, communication bits, machine load, ...).
 
 Problem families (LP, MEB, SVM, QP) register a :class:`ProblemSpec` the same
-way.  The built-in models and problems self-register when their defining
+way, and :func:`get_family` looks their descriptors up by wire name or
+alias.  The built-in models and problems self-register when their defining
 modules are imported; :func:`_ensure_builtins` lazily imports those modules
 so the registry is complete even when ``repro.api`` is imported in
 isolation.
@@ -49,6 +50,7 @@ from ..core.exceptions import RegistryError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.lptype import LPTypeProblem
     from ..core.result import SolveResult
+    from ..problems.family import ProblemFamily
     from .config import SolverConfig
 
 __all__ = [
@@ -61,6 +63,8 @@ __all__ = [
     "unregister_problem",
     "get_model",
     "get_problem",
+    "get_family",
+    "problem_families",
     "available_models",
     "available_problems",
     "describe_model",
@@ -163,12 +167,16 @@ class ProblemSpec:
         One-line human description.
     tags:
         Free-form labels (``"geometry"``, ``"learning"``, ...).
+    family:
+        The factory's own :class:`~repro.problems.family.ProblemFamily`, if
+        it declares one (an inherited descriptor stays with its class).
     """
 
     name: str
     factory: Callable[..., Any]
     description: str = ""
     tags: tuple[str, ...] = ()
+    family: "ProblemFamily | None" = None
 
 
 _MODELS: dict[str, ModelSpec] = {}
@@ -240,8 +248,19 @@ def register_problem(
     def _register(fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in _PROBLEMS:
             raise RegistryError(f"problem {name!r} is already registered")
+        family = getattr(fn, "family", None)
+        if family is not None and family.cls is not fn:
+            family = None  # inherited: indexed under the class that declared it
+        for other in _PROBLEMS.values():
+            if family is None or other.family in (None, family):
+                continue
+            if set(family.names) & set(other.family.names):
+                raise RegistryError(
+                    f"problem family {family.name!r} shares a wire name or alias "
+                    f"with problem {other.name!r}"
+                )
         _PROBLEMS[name] = ProblemSpec(
-            name=name, factory=fn, description=description, tags=tuple(tags)
+            name, fn, description=description, tags=tuple(tags), family=family
         )
         return fn
 
@@ -290,6 +309,27 @@ def get_problem(name: str) -> ProblemSpec:
             f"unknown problem {name!r}; available problems: "
             f"{', '.join(available_problems())}"
         ) from None
+
+
+def problem_families() -> tuple["ProblemFamily", ...]:
+    """The registered family descriptors, in registration order."""
+    _ensure_builtins()
+    families = (spec.family for spec in _PROBLEMS.values() if spec.family is not None)
+    return tuple(dict.fromkeys(families))
+
+
+def get_family(name: Any) -> "ProblemFamily":
+    """The registered family whose wire name or alias is ``name``.
+
+    Raises :class:`RegistryError` listing the registered wire names on a miss.
+    """
+    for family in problem_families():
+        if name in family.names:
+            return family
+    raise RegistryError(
+        f"{name!r} names no registered problem family; available: "
+        f"{', '.join(known.name for known in problem_families())}"
+    )
 
 
 def available_models() -> tuple[str, ...]:

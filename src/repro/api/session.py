@@ -17,7 +17,8 @@ A :class:`Session` is the long-lived counterpart of the one-shot
   edited instance *incrementally*;
 * **ingestion handles** (:meth:`Session.ingest`): stream chunks arrive over
   time through ``feed()`` and are assembled into one instance at
-  ``finalize()``.
+  ``finalize()``.  Edits and ingestion read the problem family's
+  :class:`~repro.problems.family.ProblemFamily` descriptor.
 
 Warm-restart determinism contract (pinned by ``tests/test_session.py``):
 a warm re-solve certifies the **same basis** as a cold solve of the same
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..core.budget import ResourceBudget, start_meter
 from ..core.context import solve_scope
-from ..core.exceptions import InvalidConfigError, SessionError
+from ..core.exceptions import InvalidConfigError, RegistryError, SessionError
 from ..core.result import ResourceUsage, SolveResult, WarmStats
 from ..resilience.faults import RecoveryNotes
 from ..fabric import shm
@@ -58,7 +59,7 @@ from ..fabric.transport import (
 )
 from .config import SolverConfig
 from .facade import build_config
-from .registry import ModelSpec, get_model
+from .registry import ModelSpec, get_family, get_model
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.lptype import LPTypeProblem
@@ -75,22 +76,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# Problem-family adapters: how constraint blocks extend / rebuild the four
-# built-in problem classes.  User-defined problems opt in by implementing
-# ``with_constraint_changes(keep_indices, added_chunks)``.
+# Constraint edits: the problem's family descriptor does the work
 # ---------------------------------------------------------------------- #
-
-#: Accepted spellings of the built-in problem families (ingestion handles).
-FAMILY_ALIASES = {
-    "lp": "linear_program",
-    "linear_program": "linear_program",
-    "meb": "minimum_enclosing_ball",
-    "minimum_enclosing_ball": "minimum_enclosing_ball",
-    "svm": "linear_svm",
-    "linear_svm": "linear_svm",
-    "qp": "quadratic_program",
-    "quadratic_program": "quadratic_program",
-}
 
 
 def _as_chunk_list(added: Any) -> list:
@@ -106,54 +93,6 @@ def _as_chunk_list(added: Any) -> list:
     return [added]
 
 
-def _rows_rhs_chunk(chunk: Any, d: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """One ``(rows, rhs)`` block: a pair of arrays, or one ``(m, d+1)`` array."""
-    if isinstance(chunk, tuple) and len(chunk) == 2:
-        rows = np.asarray(chunk[0], dtype=float)
-        rhs = np.asarray(chunk[1], dtype=float).reshape(-1)
-    else:
-        merged = np.atleast_2d(np.asarray(chunk, dtype=float))
-        if merged.shape[1] != d + 1:
-            raise SessionError(
-                f"a {what} constraint block must be a (rows, rhs) pair or an "
-                f"(m, {d + 1}) array with the right-hand side in the last "
-                f"column; got shape {merged.shape}"
-            )
-        rows, rhs = merged[:, :d], merged[:, d]
-    rows = np.atleast_2d(rows)
-    if rows.shape[1] != d or rows.shape[0] != rhs.size:
-        raise SessionError(
-            f"mismatched {what} block: rows {rows.shape} vs {rhs.size} "
-            "right-hand sides"
-        )
-    return rows, rhs
-
-
-def _points_chunk(chunk: Any, d: int, what: str) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(chunk, dtype=float))
-    if points.shape[1] != d:
-        raise SessionError(
-            f"a {what} block must be an (m, {d}) point array; got shape "
-            f"{points.shape}"
-        )
-    return points
-
-
-def _labelled_chunk(chunk: Any, d: int) -> tuple[np.ndarray, np.ndarray]:
-    if not (isinstance(chunk, tuple) and len(chunk) == 2):
-        raise SessionError(
-            "an SVM block must be a (points, labels) pair"
-        )
-    points = _points_chunk(chunk[0], d, "SVM")
-    labels = np.asarray(chunk[1], dtype=float).reshape(-1)
-    if labels.size != points.shape[0]:
-        raise SessionError(
-            f"mismatched SVM block: {points.shape[0]} points vs "
-            f"{labels.size} labels"
-        )
-    return points, labels
-
-
 def extend_problem(
     problem: "LPTypeProblem",
     added: Any = None,
@@ -165,19 +104,12 @@ def extend_problem(
     surviving original indices: original constraint ``keep[j]`` becomes
     constraint ``j`` of the new instance, and added blocks are appended
     after the survivors.  ``added`` is one constraint block (or a list of
-    blocks) in the problem family's native form — ``(rows, rhs)`` for
-    LP/QP, a point array for MEB, ``(points, labels)`` for SVM.
-
-    User-defined problems participate by implementing
-    ``with_constraint_changes(keep_indices, added_chunks) -> problem``.
+    blocks), each in the form the problem's
+    :class:`~repro.problems.family.ProblemFamily` descriptor reads: a tuple
+    with one entry per per-constraint array — ``(rows, rhs)`` for LP/QP,
+    ``(points, labels)`` for SVM — or one merged array of their columns —
+    ``(m, d+1)`` for LP/QP/SVM, ``(m, d)`` points for MEB.
     """
-    from ..problems import (
-        ConvexQuadraticProgram,
-        LinearProgram,
-        LinearSVM,
-        MinimumEnclosingBall,
-    )
-
     n = problem.num_constraints
     keep = np.arange(n, dtype=int)
     if removed is not None:
@@ -190,129 +122,17 @@ def extend_problem(
                 f"[{removed_idx.min()}, {removed_idx.max()}]"
             )
         keep = np.setdiff1d(keep, removed_idx)
-    chunks = _as_chunk_list(added)
-
-    hook = getattr(problem, "with_constraint_changes", None)
-    if hook is not None:
-        return hook(keep, chunks), keep
-
-    d = problem.dimension
-    if isinstance(problem, LinearProgram):
-        rows, rhs = [problem.a[keep]], [problem.b[keep]]
-        for chunk in chunks:
-            r, h = _rows_rhs_chunk(chunk, d, "LP")
-            rows.append(r)
-            rhs.append(h)
-        new_problem: "LPTypeProblem" = LinearProgram(
-            c=problem.c,
-            a=np.concatenate(rows, axis=0),
-            b=np.concatenate(rhs),
-            box_bound=problem.box_bound,
-            solver=problem.solver,
-            lexicographic=problem.lexicographic,
-            tolerance=problem.tolerance,
-        )
-    elif isinstance(problem, MinimumEnclosingBall):
-        blocks = [problem.points[keep]]
-        blocks.extend(_points_chunk(c, d, "MEB") for c in chunks)
-        new_problem = MinimumEnclosingBall(
-            points=np.concatenate(blocks, axis=0), tolerance=problem.tolerance
-        )
-    elif isinstance(problem, LinearSVM):
-        points, labels = [problem.points[keep]], [problem.labels[keep]]
-        for chunk in chunks:
-            p, y = _labelled_chunk(chunk, d)
-            points.append(p)
-            labels.append(y)
-        new_problem = LinearSVM(
-            points=np.concatenate(points, axis=0),
-            labels=np.concatenate(labels),
-            tolerance=problem.tolerance,
-        )
-    elif isinstance(problem, ConvexQuadraticProgram):
-        rows, rhs = [problem.g_matrix[keep]], [problem.h_vector[keep]]
-        for chunk in chunks:
-            r, h = _rows_rhs_chunk(chunk, d, "QP")
-            rows.append(r)
-            rhs.append(h)
-        new_problem = ConvexQuadraticProgram(
-            q_matrix=problem.q_matrix,
-            q_vector=problem.q_vector,
-            g_matrix=np.concatenate(rows, axis=0),
-            h_vector=np.concatenate(rhs),
-            tolerance=problem.tolerance,
-        )
-    else:
+    family = getattr(problem, "family", None)
+    if family is None:
         raise SessionError(
-            f"cannot edit constraints of {type(problem).__name__}: implement "
-            "with_constraint_changes(keep_indices, added_chunks) to opt into "
-            "incremental solving"
+            f"cannot edit constraints of {type(problem).__name__}: its class "
+            "declares no ProblemFamily descriptor (the class attribute "
+            "`family`), which incremental solving reads"
         )
+    new_problem = family.edit(problem, keep, _as_chunk_list(added))
     if new_problem.num_constraints == 0:
         raise SessionError("the edited instance has no constraints")
     return new_problem, keep
-
-
-def _build_from_chunks(family: str, chunks: list, static: dict) -> "LPTypeProblem":
-    """Assemble a fresh instance of one built-in family from fed chunks."""
-    from ..problems import (
-        ConvexQuadraticProgram,
-        LinearProgram,
-        LinearSVM,
-        MinimumEnclosingBall,
-    )
-
-    canonical = FAMILY_ALIASES.get(family)
-    if canonical is None:
-        raise SessionError(
-            f"unknown ingestion family {family!r}; supported: "
-            f"{', '.join(sorted(set(FAMILY_ALIASES.values())))}"
-        )
-    if not chunks:
-        raise SessionError("ingestion handle finalised without any chunks")
-    if canonical == "linear_program":
-        if "c" not in static:
-            raise SessionError(
-                "ingesting a linear program needs the objective: "
-                "session.ingest(family='lp', c=...)"
-            )
-        c = np.asarray(static.pop("c"), dtype=float).reshape(-1)
-        rows, rhs = zip(*(_rows_rhs_chunk(ch, c.size, "LP") for ch in chunks))
-        return LinearProgram(
-            c=c, a=np.concatenate(rows, axis=0), b=np.concatenate(rhs), **static
-        )
-    if canonical == "minimum_enclosing_ball":
-        first = np.atleast_2d(np.asarray(chunks[0], dtype=float))
-        d = first.shape[1]
-        points = np.concatenate(
-            [_points_chunk(ch, d, "MEB") for ch in chunks], axis=0
-        )
-        return MinimumEnclosingBall(points=points, **static)
-    if canonical == "linear_svm":
-        first = _labelled_chunk(chunks[0], np.atleast_2d(chunks[0][0]).shape[1])
-        d = first[0].shape[1]
-        pairs = [_labelled_chunk(ch, d) for ch in chunks]
-        return LinearSVM(
-            points=np.concatenate([p for p, _ in pairs], axis=0),
-            labels=np.concatenate([y for _, y in pairs]),
-            **static,
-        )
-    # quadratic_program
-    for key in ("q_matrix", "q_vector"):
-        if key not in static:
-            raise SessionError(
-                "ingesting a quadratic program needs the objective: "
-                "session.ingest(family='qp', q_matrix=..., q_vector=...)"
-            )
-    q_vector = np.asarray(static["q_vector"], dtype=float).reshape(-1)
-    rows, rhs = zip(
-        *(_rows_rhs_chunk(ch, q_vector.size, "QP") for ch in chunks)
-    )
-    return ConvexQuadraticProgram(
-        g_matrix=np.concatenate(rows, axis=0),
-        h_vector=np.concatenate(rhs),
-        **static,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -409,7 +229,11 @@ class IngestHandle:
                 "nothing to extend: the session has no current problem; pass "
                 "family= (and its static fields) to session.ingest()"
             )
-        problem = _build_from_chunks(self._family, self._chunks, self._static)
+        try:
+            family = get_family(self._family)
+        except RegistryError as exc:
+            raise SessionError(f"unknown ingestion family: {exc}") from None
+        problem = family.build(self._chunks, self._static)
         if not solve:
             return problem
         return self._session.solve(problem, budget=budget, **overrides)
@@ -802,8 +626,10 @@ class Session:
         Without arguments the fed chunks *extend the session's current
         problem* (finalise = warm re-solve).  With ``family=`` (or
         ``fresh=True`` and a family) the chunks build a new instance of that
-        family from scratch; ``static`` carries the family's non-constraint
-        fields (``c=`` for LP, ``q_matrix=``/``q_vector=`` for QP).
+        family from scratch; ``static`` carries the family's instance-wide
+        arrays (``c=`` for LP, ``q_matrix=``/``q_vector=`` for QP) and any of
+        its options.  ``family`` is a wire name or alias of a registered
+        :class:`~repro.problems.family.ProblemFamily`.
         """
         self._check_open()
         base = None if (fresh or family is not None) else self.problem

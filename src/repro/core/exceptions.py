@@ -50,6 +50,19 @@ class InvalidConfigError(ReproError, ValueError):
     """
 
 
+class RequestValidationError(ReproError, ValueError):
+    """A malformed request payload; ``field`` names the offending field.
+
+    Raised by the problem-family decoders and the server's request parsing;
+    the HTTP server answers it with a typed 400 body (``{"error": {"type":
+    "invalid_request", "field": ..., "message": ...}}``).
+    """
+
+    def __init__(self, message: str, field: str = "") -> None:
+        super().__init__(message)
+        self.field = field
+
+
 class RegistryError(ReproError, LookupError):
     """Raised on misuse of the model / problem registry.
 

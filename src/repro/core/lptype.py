@@ -16,19 +16,24 @@ For that class, the primitive operations Algorithm 1 needs are
 
 Concrete problems (linear programming, hard-margin SVM, minimum enclosing
 ball) implement :class:`LPTypeProblem`; the sequential, streaming,
-coordinator and MPC drivers only ever talk to this interface.
+coordinator and MPC drivers only ever talk to this interface.  What an
+instance is made of is declared once per family by the class attribute
+``family`` (a :class:`~repro.problems.family.ProblemFamily`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .. import kernels
 from .exceptions import SolverError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..problems.family import ProblemFamily
 
 __all__ = [
     "BasisResult",
@@ -283,6 +288,9 @@ class LPTypeProblem(abc.ABC):
     :meth:`constraint_payload`).
     """
 
+    #: The family descriptor (wire codec, edits, ingestion, :meth:`restrict`).
+    family: ClassVar[Optional["ProblemFamily"]] = None
+
     # ------------------------------------------------------------------ #
     # Static problem metadata
     # ------------------------------------------------------------------ #
@@ -519,6 +527,12 @@ class LPTypeProblem(abc.ABC):
     def payload_num_coefficients(self) -> int:
         """Number of real coefficients in one constraint payload."""
         return self.dimension + 1
+
+    def restrict(self, indices: Sequence[int]) -> "LPTypeProblem":
+        """A new instance of the same family over only the given constraints."""
+        if self.family is None:
+            raise NotImplementedError(f"{type(self).__name__} has no ProblemFamily")
+        return self.family.restrict(self, indices)
 
 
 # ---------------------------------------------------------------------- #

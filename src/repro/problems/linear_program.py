@@ -26,6 +26,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
+from .family import ProblemFamily
 from .seidel import seidel_solve
 from .solvers import DEFAULT_TOLERANCE, lexicographic_minimum, solve_lp
 
@@ -318,28 +319,24 @@ class LinearProgram(LPTypeProblem):
         idx = self.all_indices() if indices is None else np.asarray(list(indices), dtype=int)
         return self.violating_indices(np.asarray(x, dtype=float), idx).size == 0
 
-    def restrict(self, indices: Sequence[int]) -> "LinearProgram":
-        """A new :class:`LinearProgram` over only the given constraints."""
-        idx = np.asarray(list(indices), dtype=int)
-        return LinearProgram(
-            c=self.c,
-            a=self.a[idx],
-            b=self.b[idx],
-            box_bound=self.box_bound,
-            solver=self.solver,
-            lexicographic=self.lexicographic,
-            tolerance=self.tolerance,
-        )
+
+def _synthetic_lp(n: int, d: int, seed: int) -> LinearProgram:
+    from ..workloads import random_polytope_lp
+
+    return random_polytope_lp(n, d, seed=seed).problem
 
 
-from ..api.registry import register_problem  # noqa: E402  (import-time registration)
-
-register_problem(
-    "linear_program",
-    LinearProgram,
-    description=(
-        "Low-dimensional linear program min c'x s.t. Ax <= b, intersected "
-        "with a bounding box (Theorem 4)."
+LinearProgram.family = ProblemFamily(
+    name="lp",
+    aliases=("linear_program",),
+    cls=LinearProgram,
+    instance_arrays=(("c", 1),),
+    constraint_arrays=(("a", 2), ("b", 1)),
+    options=(
+        ("box_bound", float),
+        ("solver", str),
+        ("lexicographic", bool),
+        ("tolerance", float),
     ),
-    tags=("optimization", "lp"),
+    synthetic=_synthetic_lp,
 )

@@ -38,6 +38,7 @@ from ..core.lptype import (
     working_set_solve,
 )
 from ..core.rng import SeedLike, as_generator
+from .family import ProblemFamily
 from .qp import minimize_convex_qp
 
 __all__ = ["Ball", "MEBValue", "MinimumEnclosingBall", "badoiu_clarkson_meb"]
@@ -316,14 +317,17 @@ def badoiu_clarkson_meb(
     return Ball(center=center, radius=radius)
 
 
-from ..api.registry import register_problem  # noqa: E402  (import-time registration)
+def _synthetic_meb(n: int, d: int, seed: int) -> MinimumEnclosingBall:
+    from ..workloads import uniform_ball_points
 
-register_problem(
-    "minimum_enclosing_ball",
-    MinimumEnclosingBall,
-    description=(
-        "Minimum enclosing ball of a point set (Theorem 6; core vector "
-        "machines)."
-    ),
-    tags=("geometry",),
+    return MinimumEnclosingBall(uniform_ball_points(n, d, seed=seed))
+
+
+MinimumEnclosingBall.family = ProblemFamily(
+    name="meb",
+    aliases=("minimum_enclosing_ball",),
+    cls=MinimumEnclosingBall,
+    constraint_arrays=(("points", 2),),
+    options=(("tolerance", float),),
+    synthetic=_synthetic_meb,
 )

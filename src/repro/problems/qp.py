@@ -35,6 +35,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
+from .family import ProblemFamily
 
 __all__ = ["QPSolution", "QPValue", "ConvexQuadraticProgram", "minimize_convex_qp"]
 
@@ -311,14 +312,22 @@ class ConvexQuadraticProgram(LPTypeProblem):
         return tuple(int(i) for i in tight[: self.combinatorial_dimension])
 
 
-from ..api.registry import register_problem  # noqa: E402  (import-time registration)
+def _synthetic_qp(n: int, d: int, seed: int) -> ConvexQuadraticProgram:
+    rng = np.random.default_rng(seed)
+    q_matrix = np.diag(np.linspace(1.0, 2.0, d))
+    normals = rng.normal(size=(n, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    anchor = rng.uniform(-1.0, 1.0, size=d)
+    h_vector = normals @ anchor - rng.uniform(0.1, 1.0, size=n)
+    return ConvexQuadraticProgram(q_matrix, rng.normal(size=d), normals, h_vector)
 
-register_problem(
-    "quadratic_program",
-    ConvexQuadraticProgram,
-    description=(
-        "Convex quadratic program min (1/2) x'Qx + q'x s.t. Gx >= h (the "
-        "generic form behind the SVM and MEB reductions)."
-    ),
-    tags=("optimization", "qp"),
+
+ConvexQuadraticProgram.family = ProblemFamily(
+    name="qp",
+    aliases=("quadratic_program",),
+    cls=ConvexQuadraticProgram,
+    instance_arrays=(("q_matrix", 2), ("q_vector", 1)),
+    constraint_arrays=(("g_matrix", 2), ("h_vector", 1)),
+    options=(("tolerance", float),),
+    synthetic=_synthetic_qp,
 )

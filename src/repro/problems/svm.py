@@ -30,6 +30,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
+from .family import ProblemFamily
 from .qp import minimize_convex_qp
 
 __all__ = ["SVMValue", "LinearSVM"]
@@ -201,14 +202,17 @@ class LinearSVM(LPTypeProblem):
         return np.where(scores >= 0.0, 1.0, -1.0)
 
 
-from ..api.registry import register_problem  # noqa: E402  (import-time registration)
+def _synthetic_svm(n: int, d: int, seed: int) -> LinearSVM:
+    from ..workloads import make_separable_classification, svm_problem
 
-register_problem(
-    "linear_svm",
-    LinearSVM,
-    description=(
-        "Hard-margin linear SVM over labelled points (Theorem 5; maximum "
-        "margin separator)."
-    ),
-    tags=("learning",),
+    return svm_problem(make_separable_classification(n, d, seed=seed))
+
+
+LinearSVM.family = ProblemFamily(
+    name="svm",
+    aliases=("linear_svm",),
+    cls=LinearSVM,
+    constraint_arrays=(("points", 2), ("labels", 1)),
+    options=(("tolerance", float),),
+    synthetic=_synthetic_svm,
 )

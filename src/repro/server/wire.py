@@ -4,10 +4,11 @@ The solver results themselves already have a wire form — ``repro-result/1``
 via :meth:`~repro.core.result.SolveResult.to_dict` — so this module only
 adds what the *request* side needs:
 
-* :func:`encode_problem` / :func:`decode_problem` — the four built-in
-  problem families as plain-JSON payloads (``{"family": "lp", "c": ...,
-  "a": ..., "b": ...}``), validated with errors that name the offending
-  field in the style of :class:`~repro.core.exceptions.InvalidConfigError`;
+* :func:`encode_problem` / :func:`decode_problem` — problem instances as
+  plain-JSON payloads (``{"family": "lp", "c": ..., "a": ..., "b": ...}``),
+  read and written by each family's
+  :class:`~repro.problems.family.ProblemFamily` descriptor, with errors
+  that name the offending field;
 * :func:`decode_budget` — :class:`~repro.core.budget.ResourceBudget` from a
   JSON object;
 * :func:`error_body` / :func:`exception_to_error` /
@@ -27,16 +28,16 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional
 
-import numpy as np
-
+from ..api.registry import get_family
 from ..core.budget import ResourceBudget
 from ..core.exceptions import (
     BudgetExceededError,
     CircuitOpenError,
     InfeasibleProblemError,
     InvalidConfigError,
-    InvalidInstanceError,
+    RegistryError,
     ReproError,
+    RequestValidationError,
     SolverError,
     TransportFailure,
     UnboundedProblemError,
@@ -54,170 +55,37 @@ __all__ = [
     "sse_event",
 ]
 
-#: Accepted spellings of the problem families on the wire.
-WIRE_FAMILIES = ("lp", "meb", "svm", "qp")
-
-
-class RequestValidationError(ReproError, ValueError):
-    """A malformed request payload; the message names the offending field.
-
-    Mirrors :class:`~repro.core.exceptions.InvalidConfigError`: the server
-    turns it into a typed 400 JSON body (``{"error": {"type":
-    "invalid_request", "field": ..., "message": ...}}``) so clients can
-    correct the request without parsing prose.
-    """
-
-    def __init__(self, message: str, field: str = "") -> None:
-        super().__init__(message)
-        self.field = field
-
-
 # ---------------------------------------------------------------------- #
 # Problems
 # ---------------------------------------------------------------------- #
 
 
-def _require(payload: Mapping[str, Any], field: str, family: str) -> Any:
-    if field not in payload:
-        raise RequestValidationError(
-            f"problem family {family!r} requires field {field!r}",
-            field=f"problem.{field}",
-        )
-    return payload[field]
-
-
-def _array(payload: Mapping[str, Any], field: str, family: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(_require(payload, field, family), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise RequestValidationError(
-            f"problem.{field} is not a numeric array: {exc}",
-            field=f"problem.{field}",
-        ) from None
-    if arr.ndim != ndim:
-        raise RequestValidationError(
-            f"problem.{field} must be {ndim}-dimensional, got {arr.ndim}-d",
-            field=f"problem.{field}",
-        )
-    return arr
-
-
 def encode_problem(problem: Any) -> dict:
-    """The wire payload of one built-in problem instance.
-
-    The inverse of :func:`decode_problem`: the four built-in families
-    (:class:`~repro.problems.LinearProgram`, MEB, SVM, QP) are encoded
-    field-by-field so the server rebuilds a numerically identical instance.
-    User-defined problem classes may implement ``to_wire() -> dict``
-    (returning a payload :func:`decode_problem` understands) to opt in.
-    """
-    from ..problems import (
-        ConvexQuadraticProgram,
-        LinearProgram,
-        LinearSVM,
-        MinimumEnclosingBall,
-    )
-
-    hook = getattr(problem, "to_wire", None)
-    if hook is not None:
-        return hook()
-    if isinstance(problem, LinearProgram):
-        return {
-            "family": "lp",
-            "c": problem.c.tolist(),
-            "a": problem.a.tolist(),
-            "b": problem.b.tolist(),
-            "box_bound": problem.box_bound,
-            "solver": problem.solver,
-            "lexicographic": problem.lexicographic,
-            "tolerance": problem.tolerance,
-        }
-    if isinstance(problem, MinimumEnclosingBall):
-        return {
-            "family": "meb",
-            "points": problem.points.tolist(),
-            "tolerance": problem.tolerance,
-        }
-    if isinstance(problem, LinearSVM):
-        return {
-            "family": "svm",
-            "points": problem.points.tolist(),
-            "labels": problem.labels.tolist(),
-            "tolerance": problem.tolerance,
-        }
-    if isinstance(problem, ConvexQuadraticProgram):
-        return {
-            "family": "qp",
-            "q_matrix": problem.q_matrix.tolist(),
-            "q_vector": problem.q_vector.tolist(),
-            "g_matrix": problem.g_matrix.tolist(),
-            "h_vector": problem.h_vector.tolist(),
-            "tolerance": problem.tolerance,
-        }
-    raise RequestValidationError(
-        f"cannot encode {type(problem).__name__} for the wire: implement "
-        "to_wire() or submit one of the built-in families (lp/meb/svm/qp)",
-        field="problem",
-    )
+    """The wire payload of one problem instance, written by its class's
+    family descriptor; :func:`decode_problem` rebuilds an identical instance."""
+    family = getattr(problem, "family", None)
+    if family is None:
+        raise RequestValidationError(
+            f"cannot encode {type(problem).__name__} for the wire: its class "
+            "declares no ProblemFamily descriptor",
+            field="problem",
+        )
+    return family.encode(problem)
 
 
 def decode_problem(payload: Any) -> Any:
-    """Rebuild an LP-type problem instance from its wire payload."""
+    """Rebuild an instance from its wire payload; the ``family`` tag (a wire
+    name or alias) selects the descriptor that decodes the other fields."""
     if not isinstance(payload, Mapping):
         raise RequestValidationError(
             f"problem must be a JSON object, got {type(payload).__name__}",
             field="problem",
         )
-    family = payload.get("family")
-    if family not in WIRE_FAMILIES:
-        raise RequestValidationError(
-            f"problem.family must be one of {'/'.join(WIRE_FAMILIES)}, "
-            f"got {family!r}",
-            field="problem.family",
-        )
-    from ..problems import (
-        ConvexQuadraticProgram,
-        LinearProgram,
-        LinearSVM,
-        MinimumEnclosingBall,
-    )
-
     try:
-        if family == "lp":
-            kwargs: dict[str, Any] = {}
-            for key in ("box_bound", "solver", "lexicographic", "tolerance"):
-                if key in payload:
-                    kwargs[key] = payload[key]
-            return LinearProgram(
-                c=_array(payload, "c", family, 1),
-                a=_array(payload, "a", family, 2),
-                b=_array(payload, "b", family, 1),
-                **kwargs,
-            )
-        if family == "meb":
-            kwargs = {"tolerance": payload["tolerance"]} if "tolerance" in payload else {}
-            return MinimumEnclosingBall(
-                points=_array(payload, "points", family, 2), **kwargs
-            )
-        if family == "svm":
-            kwargs = {"tolerance": payload["tolerance"]} if "tolerance" in payload else {}
-            return LinearSVM(
-                points=_array(payload, "points", family, 2),
-                labels=_array(payload, "labels", family, 1),
-                **kwargs,
-            )
-        kwargs = {"tolerance": payload["tolerance"]} if "tolerance" in payload else {}
-        return ConvexQuadraticProgram(
-            q_matrix=_array(payload, "q_matrix", family, 2),
-            q_vector=_array(payload, "q_vector", family, 1),
-            g_matrix=_array(payload, "g_matrix", family, 2),
-            h_vector=_array(payload, "h_vector", family, 1),
-            **kwargs,
-        )
-    except InvalidInstanceError as exc:
-        # Instance-level validation (mismatched shapes, bad labels, ...)
-        # surfaces as a request error: the instance came off the wire.
-        raise RequestValidationError(str(exc), field="problem") from None
+        family = get_family(payload.get("family"))
+    except RegistryError as exc:
+        raise RequestValidationError(str(exc), field="problem.family") from None
+    return family.decode(payload)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -209,33 +210,12 @@ def test_facade_rejects_foreign_config_type(tiny_lp):
         solve(tiny_lp, model="sequential", config={"r": 2})
 
 
-def test_to_parameters_round_trip():
-    config = StreamingConfig(
-        r=3,
-        sample_scale=0.5,
-        boost=4.0,
-        max_iterations=99,
-        keep_trace=False,
-        sample_size=123,
-        success_threshold=0.01,
-    )
-    params = config.to_parameters()
-    assert params.r == 3
-    assert params.sample_scale == 0.5
-    assert params.boost == 4.0
-    assert params.max_iterations == 99
-    assert params.keep_trace is False
-    assert params.sample_size == 123
-    assert params.success_threshold == 0.01
-
-
-def test_practical_config_matches_practical_parameters(medium_lp):
-    from repro.core.clarkson import practical_parameters
-
+def test_practical_config_pins_the_clarkson_profile(medium_lp):
     config = SolverConfig.practical(medium_lp, r=2, seed=5)
-    params = practical_parameters(medium_lp, r=2)
-    assert config.sample_size == params.sample_size
-    assert config.success_threshold == params.success_threshold
+    n, nu, r = medium_lp.num_constraints, medium_lp.combinatorial_dimension, 2
+    epsilon = min(0.45, math.log(n) / (2.0 * nu * r * n ** (1.0 / r)))
+    assert config.success_threshold == epsilon
+    assert config.sample_size == min(n, math.ceil(4.0 * nu / epsilon) + nu)
     assert config.seed == 5
 
 

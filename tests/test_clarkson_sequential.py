@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SolverConfig, solve
-from repro.core.clarkson import (
-    ClarksonParameters,
-    practical_parameters,
-    resolve_sampling,
-    solve_small_problem,
-)
+from repro.core.clarkson import resolve_sampling, solve_small_problem
 from repro.workloads import (
     make_separable_classification,
     random_feasible_lp,
@@ -27,42 +22,42 @@ from tests.conftest import assert_objective_close, fast_config
 class TestResolveSampling:
     def test_defaults_use_lemma_bound(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
-        size, eps = resolve_sampling(problem, ClarksonParameters(r=2))
+        size, eps = resolve_sampling(problem, SolverConfig(r=2))
         assert size == 100  # the Lemma 2.2 bound exceeds n at this scale
         assert eps == pytest.approx(1.0 / (10 * 3 * 10.0))
 
     def test_overrides_respected(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
-        params = ClarksonParameters(r=2, sample_size=37, success_threshold=0.05)
+        params = SolverConfig(r=2, sample_size=37, success_threshold=0.05)
         size, eps = resolve_sampling(problem, params)
         assert size == 37
         assert eps == pytest.approx(0.05)
 
     def test_sample_size_capped_at_n(self):
         problem = random_feasible_lp(50, 2, seed=0).problem
-        params = ClarksonParameters(r=2, sample_size=500)
+        params = SolverConfig(r=2, sample_size=500)
         size, _ = resolve_sampling(problem, params)
         assert size == 50
 
 
 class TestPracticalParameters:
     def test_scaling_with_n(self):
-        small = practical_parameters(random_feasible_lp(1000, 2, seed=0).problem, r=2)
-        large = practical_parameters(random_feasible_lp(16000, 2, seed=0).problem, r=2)
+        small = SolverConfig.practical(random_feasible_lp(1000, 2, seed=0).problem, r=2)
+        large = SolverConfig.practical(random_feasible_lp(16000, 2, seed=0).problem, r=2)
         # Sample size grows roughly like sqrt(n) for r=2 (up to the log factor).
         assert large.sample_size > small.sample_size
         assert large.sample_size < 16000
 
     def test_threshold_small_enough_for_iteration_bound(self):
         problem = random_feasible_lp(5000, 2, seed=0).problem
-        params = practical_parameters(problem, r=2)
+        params = SolverConfig.practical(problem, r=2)
         n, nu, r = 5000, 3, 2
         assert params.success_threshold <= np.log(n) / (2 * nu * r * n ** 0.5) + 1e-12
 
     def test_invalid_r(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
         with pytest.raises(ValueError):
-            practical_parameters(problem, r=0)
+            SolverConfig.practical(problem, r=0)
 
 
 class TestSolveSmallProblem:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import solve
-from repro.core.clarkson import ClarksonParameters
+from repro import SolverConfig, solve
 from repro.lower_bounds import (
     interactive_tci_protocol,
     sample_hard_instance,
@@ -78,7 +77,7 @@ def test_fabric_and_protocol_measure_the_same_currency():
     two-party protocol."""
     hard = sample_hard_instance(branching=20, rounds=2, seed=9)
     lp = tci_to_linear_program(hard.instance)
-    params = ClarksonParameters(
+    params = SolverConfig(
         r=2, sample_size=100, success_threshold=0.05, max_iterations=500
     )
     result = solve(

@@ -126,14 +126,6 @@ class TestIterationBudget:
         with pytest.raises(InvalidConfigError, match="max_iterations"):
             SolverConfig(max_iterations=bad)
 
-    def test_driver_rejects_non_positive_budget_via_params(self, lp_problem):
-        """The legacy ClarksonParameters path hits the same validation."""
-        from repro.core.clarkson import ClarksonParameters, _clarkson_solve
-
-        params = ClarksonParameters(max_iterations=0, sample_size=50)
-        with pytest.raises(InvalidConfigError, match="max_iterations"):
-            _clarkson_solve(lp_problem, params=params, rng=0)
-
 
 class TestInMemoryBinding:
     def test_solves_lp_through_raw_engine(self, lp_problem):

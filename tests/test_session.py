@@ -346,7 +346,7 @@ def test_extend_problem_rejects_unknown_problem_types():
         num_constraints = 3
         dimension = 2
 
-    with pytest.raises(SessionError, match="with_constraint_changes"):
+    with pytest.raises(SessionError, match="ProblemFamily"):
         extend_problem(Opaque())
 
 
