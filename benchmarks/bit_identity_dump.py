@@ -12,8 +12,15 @@ together, on the same four instances: ``SolverConfig.practical`` at r = 2, 3
 and 4 (sample size and ``float.hex`` of the success threshold), and the
 sha256 of the JSON wire payload of ``encode_problem``, of a
 decode-then-encode round trip, of one ``extend_problem`` edit, and of one
-``session.ingest(family=...)`` build per family.  Two checkouts give the
-same results bit for bit when their dumps are identical::
+``session.ingest(family=...)`` build per family.
+
+Last comes one sequential solve per family at n = 200,000, d = 8 and r = 4
+(``SolverConfig.practical``, seed 0, the instances of
+``tests/test_kernels.py``), in the grid's line format.  These solves take
+several iterations and boosts over more than one kernel row block, so the
+violation sweep and the Gumbel draw run across block boundaries and on
+boosted weights.  Two checkouts give the same results bit for bit when their
+dumps are identical::
 
     PYTHONPATH=src:. python benchmarks/bit_identity_dump.py > dump.txt
 """
@@ -36,6 +43,10 @@ from tests.test_api_facade import (
     _scalar,
     _witness_vector,
 )
+from tests.test_kernels import FAMILIES, _build
+
+#: Size of the multi-block sequential solves: three kernel row blocks.
+LARGE_N, LARGE_D, LARGE_R = 200_000, 8, 4
 
 BASELINES = {
     "exact": dict(),
@@ -128,6 +139,11 @@ def main() -> None:
     for family, make in sorted(PROBLEMS.items()):
         for line in _problem_lines(family, make()):
             print(line)
+    for family in FAMILIES:
+        problem = _build(family, n=LARGE_N, d=LARGE_D)
+        config = SolverConfig.practical(problem, r=LARGE_R, seed=0)
+        result = solve(problem, model="sequential", config=config)
+        print(_line(f"{family}/sequential/n={LARGE_N}", result))
 
 
 if __name__ == "__main__":

@@ -4,21 +4,25 @@ A *kernel backend* implements the small set of array primitives that dominate
 the solver's wall-clock at large ``n``: the fused violation sweep (one pass
 producing mask, count, and weight sums), full-precision score evaluation,
 multi-witness violation counting, batched small linear solves, Seidel's
-first-violator scan, and the two sampling-side element-wise kernels (Gumbel
-top-k keys and the shifted exponential).  Backends are interchangeable: the
+first-violator scan, and the two sampling-side kernels (the Gumbel top-k
+draw and the shifted exponential).  Backends are interchangeable: the
 ``numpy`` reference backend reproduces the pre-kernel-layer implementation
 operation for operation, and every other backend must return **bit-identical
-masks, counts, scores, and sample indices** on the same inputs.  Weight
-*sums* are the one sanctioned exception: blocked accumulation may differ from
-the reference's single ``np.sum`` in the last few ulps (the success test
-``w(V)/w(S) <= eps`` is a tolerance comparison, so this never changes
-behaviour in practice).
+masks, counts, float64 scores, and sample indices** on the same inputs, and
+leave the generator at the same next draw.  How a backend gets there is its
+own business: intermediate values a caller never sees (the ``fused``
+sweep's float32 scores, the keys a Gumbel draw skips) may differ, as long
+as only certified signs reach a mask and only the reference's top keys
+reach a sample.  Weight *sums* are the one sanctioned exception: blocked
+accumulation may differ from the reference's single ``np.sum`` in the last
+few ulps (the success test ``w(V)/w(S) <= eps`` is a tolerance comparison,
+so this never changes behaviour in practice).
 
 Backends receive the :class:`~repro.core.lptype.ConstraintPack` duck-typed:
 they rely only on ``rows`` / ``rhs`` / ``limit`` / ``sense`` plus the
-``kernel_cache()`` dict for per-pack precomputed arrays (e.g. the float32
-mirrors of the ``fused`` backend).  The kernel layer itself imports nothing
-from ``repro.core`` so it can never participate in an import cycle.
+``kernel_cache()`` dict for per-pack precomputed arrays (e.g. the ``fused``
+backend's column-major float32 mirror).  The kernel layer itself imports
+nothing from ``repro.core`` so it can never participate in an import cycle.
 
 Row selection is passed as a *selector*: ``None`` (all rows), a ``slice``
 (a contiguous range — sliced as a view, no copy), or an int index array

@@ -8,23 +8,32 @@ to the reference's full products (same per-row dot, same alignment class per
 block), so masks, counts, and scores match the ``numpy`` backend exactly.
 
 The margin sweep additionally runs in float32 with float64
-re-certification: scores are first computed from cached float32 mirrors of
-the pack (half the memory traffic of a float64 pass); any row whose float32
-score lands inside a conservative error band around the threshold — or is
-non-finite — is recomputed in float64.  The band
+re-certification.  Scores are first computed from a cached float32 mirror
+of the pack, stored column-major as a ``(d, n)`` array: half the memory
+traffic of a float64 pass, and ``vec32 @ cols[:, blk]`` streams about twice
+as fast under BLAS as the row-major product.  Any row whose float32 score
+lands inside a conservative error band around the threshold — or is
+non-finite — is recomputed in float64 from the float64 rows.  The band
 
     band_j = gamma * (||rows_j||_1 * max|vec| + |rhs_j| + |limit_j| + |offset|),
     gamma  = (4 d + 64) * 2^-23
 
-over-estimates the worst-case float32 evaluation error (a standard
-forward-error bound with a ~4x safety factor covering the band's own float32
-rounding; a tiny absolute floor guards the subnormal range), so the sign of
-every certified float32 score agrees with the float64 score and the
-resulting masks are **bit-identical** to the reference.
+over-estimates the float32 error of a d-term dot product in any summation
+order, FMA included (a standard forward-error bound with a ~4x safety factor
+covering the band's own float32 rounding; a tiny absolute floor guards the
+subnormal range), so the sign of every certified float32 score agrees with
+the float64 score and the resulting masks are **bit-identical** to the
+reference.
+
+The Gumbel top-k draw consumes the reference's uniform stream and returns
+its indices, but keys only the rows that can win: the boosted rows and the
+rows whose raw uniform clears a threshold, widened until a bound proves that
+no other row reaches the top ``size``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -38,39 +47,52 @@ __all__ = ["FusedBackend"]
 #: zero in the float32 subnormal range while the true error is non-zero.
 _BAND_FLOOR = np.float32(1e-35)
 
+#: Coefficients per block of the mirror build: a 512 KB float64 block and
+#: its float32 transpose stay cache-resident (8,192 rows at d = 8).
+_BUILD_VALUES = 65536
+
+#: Slack of the Gumbel acceptance bound, relative to the magnitudes it sums:
+#: a few ulps, for scalar and SIMD ``log`` rounding apart.
+_KEY_SLACK = 16 * np.finfo(np.float64).eps
+
 
 class _Float32Mirror:
-    """Per-pack float32 mirrors plus the certification-band ingredients."""
+    """Per-pack float32 mirrors (``cols`` is ``(d, n)``) plus the band ingredients."""
 
-    __slots__ = ("rows", "rhs", "limit", "norm1", "gmag")
+    __slots__ = ("cols", "rhs", "limit", "norm1", "gmag")
 
     def __init__(self, pack: Any) -> None:
         rows64 = pack.rows
         n, d = rows64.shape
-        self.rows = np.empty((n, d), dtype=np.float32)
+        self.cols = np.empty((d, n), dtype=np.float32)
         self.norm1 = np.empty(n, dtype=np.float32)
-        # Cast and reduce block-by-block: the float64 rows are streamed once
-        # and the |row| reduction runs on the cache-resident float32 block,
-        # instead of materialising an n x d |rows| temporary.  The band's 4x
-        # safety factor absorbs the (d+1) ulp difference between this
-        # float32 1-norm and an exact float64 one.
-        absbuf = np.empty((min(BLOCK_ROWS, max(n, 1)), d), dtype=np.float32)
-        for start in range(0, n, BLOCK_ROWS):
-            blk = slice(start, min(n, start + BLOCK_ROWS))
-            block32 = self.rows[blk]
-            np.copyto(block32, rows64[blk], casting="same_kind")
-            scratch = absbuf[: block32.shape[0]]
-            np.abs(block32, out=scratch)
-            self.norm1[blk] = scratch.sum(axis=1)
         self.rhs = pack.rhs.astype(np.float32)
         self.limit = pack.limit.astype(np.float32)
+        self.gmag = np.empty(n, dtype=np.float32)
         # gamma is folded into the cached magnitude term (and, per sweep,
         # into the norm/offset scalars), so the band needs three block passes
-        # instead of five.  The regrouped rounding differs from the literal
-        # gamma * (...) formula by a few ulps, which the band's safety
-        # factor absorbs.
+        # instead of five; the band's safety factor absorbs the regrouped
+        # rounding, and the (d+1) ulps of this float32 1-norm.  Every build
+        # temporary is one block-sized scratch: the 1-norm is d passes over
+        # the cache-resident columns of each transposed block.
         gamma = _band_gamma(d)
-        self.gmag = (np.abs(self.rhs) + np.abs(self.limit)) * gamma
+        step = _BUILD_VALUES // max(d, 1)
+        scratch = np.empty(min(step, max(n, 1)), dtype=np.float32)
+        for start in range(0, n, step):
+            blk = slice(start, min(n, start + step))
+            block = self.cols[:, blk]
+            np.copyto(block, rows64[blk].T, casting="same_kind")
+            part = scratch[: block.shape[1]]
+            norm = self.norm1[blk]
+            np.abs(block[0], out=norm)
+            for k in range(1, d):
+                np.abs(block[k], out=part)
+                norm += part
+            gmag = self.gmag[blk]
+            np.abs(self.rhs[blk], out=gmag)
+            np.abs(self.limit[blk], out=part)
+            gmag += part
+            gmag *= gamma
 
 
 def _float32_mirror(pack: Any) -> _Float32Mirror:
@@ -86,6 +108,33 @@ def _band_gamma(num_coefficients: int) -> np.float32:
     return np.float32((4.0 * max(1, num_coefficients) + 64.0) * 2.0**-23)
 
 
+def _gumbel_keys(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The reference's keys ``arr - log(-log(max(u, tiny)))``, computed in ``u``."""
+    np.maximum(u, _TINY_UNIFORM, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.subtract(arr, u, out=u)
+
+
+def _gumbel_candidates(
+    arr: np.ndarray, u: np.ndarray, lo: float, tau: float
+) -> np.ndarray:
+    """Indices of the rows with ``arr > lo`` or ``u >= tau``, in one blocked pass."""
+    n = arr.size
+    hit = np.empty(min(BLOCK_ROWS, n), dtype=bool)
+    above = np.empty_like(hit)
+    found = [np.empty(0, dtype=np.intp)]
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(n, start + BLOCK_ROWS)
+        h, a = hit[: stop - start], above[: stop - start]
+        np.greater(arr[start:stop], lo, out=h)
+        np.greater_equal(u[start:stop], tau, out=a)
+        np.logical_or(h, a, out=h)
+        found.append(np.flatnonzero(h) + start)
+    return np.concatenate(found)
+
+
 class FusedBackend(KernelBackend):
     """Blocked sweeps with the certified-fp32 margin pass."""
 
@@ -96,27 +145,25 @@ class FusedBackend(KernelBackend):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _block_scores(rows, rhs, limit, sense, vec, offset, blk, out) -> None:
-        """Scores of one row block written into ``out`` (reference bit pattern)."""
+    def _block_scores(rows, rhs, limit, sense, vec, offset, blk) -> np.ndarray:
+        """float64 scores of the rows ``blk`` picks (reference bit pattern)."""
         m = rows[blk] @ vec
         m += offset - rhs[blk]
         if sense < 0:
             np.negative(m, out=m)
         m -= limit[blk]
-        out[blk] = m
+        return m
 
     def scores(self, pack: Any, encoded: tuple[np.ndarray, float], sel) -> np.ndarray:
         vec, offset = encoded
         vec = np.asarray(vec, dtype=np.float64)
         offset = float(offset)
-        rows = select(pack.rows, sel)
-        rhs = select(pack.rhs, sel)
-        limit = select(pack.limit, sel)
-        n = rows.shape[0]
+        arrays = tuple(select(a, sel) for a in (pack.rows, pack.rhs, pack.limit))
+        n = arrays[0].shape[0]
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, BLOCK_ROWS):
             blk = slice(start, min(n, start + BLOCK_ROWS))
-            self._block_scores(rows, rhs, limit, pack.sense, vec, offset, blk, out)
+            out[blk] = self._block_scores(*arrays, pack.sense, vec, offset, blk)
         return out
 
     def sweep(
@@ -135,7 +182,7 @@ class FusedBackend(KernelBackend):
         sense = pack.sense
         fancy = isinstance(sel, np.ndarray)
         mirror = _float32_mirror(pack)
-        rows32 = select(mirror.rows, sel)
+        cols32 = mirror.cols if sel is None else mirror.cols[:, sel]
         rhs32 = select(mirror.rhs, sel)
         limit32 = select(mirror.limit, sel)
         norm32 = select(mirror.norm1, sel)
@@ -146,12 +193,11 @@ class FusedBackend(KernelBackend):
         gamma = _band_gamma(pack.rows.shape[1])
         gvmax32 = np.float32(gamma * vmax32)
         goff32 = np.float32(gamma * np.float32(abs(offset)) + _BAND_FLOOR)
-        n = rows32.shape[0]
+        n = cols32.shape[1]
         # float64 arrays stay un-gathered for fancy selectors: only the
         # (few) band candidates are re-fetched at full precision.
-        rows64 = None if fancy else select(pack.rows, sel)
-        rhs64 = None if fancy else select(pack.rhs, sel)
-        limit64 = None if fancy else select(pack.limit, sel)
+        full64 = (pack.rows, pack.rhs, pack.limit)
+        src64 = full64 if fancy else tuple(select(a, sel) for a in full64)
 
         w = weights
         # Log-space weights: exponentiate block-by-block into a scratch
@@ -186,7 +232,7 @@ class FusedBackend(KernelBackend):
             # the band's safety factor covers the extra rounding, and
             # only certified signs — not the f32 values — are reported.
             s32 = s32buf[:m]
-            np.matmul(rows32[blk], vec32, out=s32)
+            np.matmul(vec32, cols32[:, blk], out=s32)
             np.subtract(s32, rhs32[blk], out=s32)
             s32 += off32
             if sense < 0:
@@ -207,19 +253,8 @@ class FusedBackend(KernelBackend):
             np.logical_or(cand, fin, out=cand)
             if cand.any():
                 ci = np.flatnonzero(cand)
-                if rows64 is None:
-                    gidx = sel[blk][ci]
-                    sub = pack.rows[gidx] @ vec
-                    sub += offset - pack.rhs[gidx]
-                    if sense < 0:
-                        np.negative(sub, out=sub)
-                    sub -= pack.limit[gidx]
-                else:
-                    sub = rows64[blk][ci] @ vec
-                    sub += offset - rhs64[blk][ci]
-                    if sense < 0:
-                        np.negative(sub, out=sub)
-                    sub -= limit64[blk][ci]
+                at = sel[blk][ci] if fancy else ci + start
+                sub = self._block_scores(*src64, sense, vec, offset, at)
                 mask_blk[ci] = sub > 0.0
             blk_count = int(np.count_nonzero(mask_blk))
             count += blk_count
@@ -314,82 +349,29 @@ class FusedBackend(KernelBackend):
             gen.random(n)  # keep the uniform stream aligned with the reference
             return np.arange(n)
         u = gen.random(n)
-        if bool(np.max(arr) == lo):
-            # Uniform weights (every draw before the first boost): the key
-            # arr + g(u) is a strictly increasing function of u alone, so
-            # selecting on the raw uniforms — seeded by a fully-ranked
-            # prefix, then two staged filter passes that keep only rows
-            # above the running size-th best — returns the reference's
-            # top-``size`` set without any keying passes.
-            seed_len = min(n, max(BLOCK_ROWS, 4 * size))
-            pool_idx = np.arange(seed_len)
-            pool_rank = u[:seed_len]
-            top = np.argpartition(pool_rank, seed_len - size)[seed_len - size :]
-            pool_idx, pool_rank = pool_idx[top], pool_rank[top]
-            start = seed_len
-            while start < n:
-                stop = n if start > seed_len else min(n, 16 * seed_len)
-                cand = np.flatnonzero(u[start:stop] >= pool_rank.min())
-                if cand.size:
-                    cand += start
-                    pool_idx = np.concatenate([pool_idx, cand])
-                    pool_rank = np.concatenate([pool_rank, u[cand]])
-                    if size < pool_idx.size:
-                        top = np.argpartition(pool_rank, pool_idx.size - size)[
-                            pool_idx.size - size :
-                        ]
-                        pool_idx, pool_rank = pool_idx[top], pool_rank[top]
-                start = stop
-            return np.sort(pool_idx)
-        # Same uniform stream and the same key values as the reference, but
-        # keyed block-by-block in a cache-resident scratch buffer and
-        # selected by a running threshold instead of per-block partitions:
-        # the first block is partitioned once to seed a pool of the best
-        # ``size`` keys; every later block only compares its keys against
-        # the pool's current size-th best (any global top-``size`` key beats
-        # it, so the filter keeps a superset) and the few survivors are
-        # merged into the pool.  One final partition of the pool recovers
-        # exactly the reference's global top-``size``.
-        block = max(BLOCK_ROWS, 4 * size)
-        kbuf = np.empty(min(block, n), dtype=np.float64)
-        pool_idx: Optional[np.ndarray] = None
-        pool_keys: Optional[np.ndarray] = None
-        threshold = -np.inf
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            keys = kbuf[: stop - start]
-            np.maximum(u[start:stop], _TINY_UNIFORM, out=keys)
-            np.log(keys, out=keys)
-            np.negative(keys, out=keys)
-            np.log(keys, out=keys)
-            np.subtract(arr[start:stop], keys, out=keys)
-            m = stop - start
-            if pool_idx is None:
-                if size < m:
-                    top = np.argpartition(keys, m - size)[m - size :]
-                    pool_idx = top + start
-                    pool_keys = keys[top]
-                    threshold = float(pool_keys.min())
-                else:
-                    pool_idx = np.arange(start, stop)
-                    pool_keys = keys.copy()
-                continue
-            cand = np.flatnonzero(keys >= threshold)
-            if cand.size:
-                pool_idx = np.concatenate([pool_idx, cand + start])
-                pool_keys = np.concatenate([pool_keys, keys[cand]])
-                if pool_idx.size > 4 * size:
-                    top = np.argpartition(pool_keys, pool_idx.size - size)[
-                        pool_idx.size - size :
-                    ]
-                    pool_idx, pool_keys = pool_idx[top], pool_keys[top]
-                    threshold = float(pool_keys.min())
-        if size < pool_idx.size:
-            top = np.argpartition(pool_keys, pool_idx.size - size)[
-                pool_idx.size - size :
-            ]
-            pool_idx = pool_idx[top]
-        return np.sort(pool_idx)
+        # Threshold selection on the raw uniforms.  A row at the minimum log
+        # weight ``lo`` with ``u < tau`` has a key of at most
+        # ``lo - log(-log tau)``, since the key rises with ``u``.  So when
+        # the top ``size`` keys among the other rows (the boosted ones and
+        # the ~2*size rows with ``u >= tau``) all beat that bound, they are
+        # exactly the reference's global top ``size``: only the candidates
+        # are keyed, with the reference's float pipeline.  The slack covers
+        # scalar and SIMD ``log`` rounding apart by an ulp; a failed check
+        # only widens the share, and at a share of 1 every row is keyed.
+        share = 2.0 * size / n
+        while share < 1.0:
+            tau = 1.0 - share
+            rows = _gumbel_candidates(arr, u, lo, tau)
+            if rows.size >= size:
+                keys = _gumbel_keys(arr[rows], u[rows])
+                top = np.argpartition(keys, rows.size - size)[rows.size - size :]
+                glog = math.log(-math.log(tau))
+                slack = _KEY_SLACK * (abs(lo) + abs(glog) + 1.0)
+                if keys[top].min() > lo - glog + slack:
+                    return np.sort(rows[top])
+            share *= 4.0
+        keys = _gumbel_keys(arr, u)
+        return np.sort(np.argpartition(keys, n - size)[n - size :])
 
     def exp_shift(self, values: np.ndarray, shift: float) -> np.ndarray:
         out = values - shift

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.exceptions import InvalidInstanceError, RequestValidationError, SessionError
 
-__all__ = ["ProblemFamily"]
+__all__ = ["ProblemFamily", "holds_nan", "reject_nan"]
 
 #: JSON name of each option type, for error messages.
 _JSON_TYPES = {bool: "a boolean", float: "a number", str: "a string"}
@@ -40,6 +40,22 @@ def _is_json_type(value: Any, kind: type) -> bool:
 def _width(arrays: Sequence[np.ndarray]) -> int:
     """``d``: the column count of the 2-d per-constraint arrays."""
     return next((arr.shape[1] for arr in arrays if arr.ndim == 2), 0)
+
+
+def holds_nan(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds a NaN; infinities do not count.
+
+    ``min`` propagates NaN, so the scan is one reduction with no temporary
+    the size of ``arr``.
+    """
+    return arr.size > 0 and bool(np.isnan(arr.min()))
+
+
+def reject_nan(**arrays: np.ndarray) -> None:
+    """Raise :class:`InvalidInstanceError` naming the first array holding NaN."""
+    for name, arr in arrays.items():
+        if holds_nan(arr):
+            raise InvalidInstanceError(f"{name} contains NaN")
 
 
 def _wire_array(
@@ -60,7 +76,7 @@ def _wire_array(
         raise RequestValidationError(
             f"{field} must be {ndim}-dimensional, got {arr.ndim}-d", field=field
         )
-    if np.isnan(arr).any():
+    if holds_nan(arr):
         raise RequestValidationError(f"{field} contains NaN", field=field)
     return arr
 

@@ -26,7 +26,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
-from .family import ProblemFamily
+from .family import ProblemFamily, reject_nan
 from .seidel import seidel_solve
 from .solvers import DEFAULT_TOLERANCE, lexicographic_minimum, solve_lp
 
@@ -145,6 +145,7 @@ class LinearProgram(LPTypeProblem):
             raise InvalidInstanceError(
                 f"{self.a.shape[0]} constraint rows but {self.b.size} right-hand sides"
             )
+        reject_nan(c=self.c, a=self.a, b=self.b)
         if box_bound <= 0:
             raise InvalidInstanceError(f"box_bound must be positive, got {box_bound}")
         if solver not in ("highs", "seidel"):

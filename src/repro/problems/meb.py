@@ -38,7 +38,7 @@ from ..core.lptype import (
     working_set_solve,
 )
 from ..core.rng import SeedLike, as_generator
-from .family import ProblemFamily
+from .family import ProblemFamily, reject_nan
 from .qp import minimize_convex_qp
 
 __all__ = ["Ball", "MEBValue", "MinimumEnclosingBall", "badoiu_clarkson_meb"]
@@ -114,6 +114,7 @@ class MinimumEnclosingBall(LPTypeProblem):
             raise InvalidInstanceError("points must be a 2-d array")
         if self.points.shape[0] == 0:
             raise InvalidInstanceError("point set must be non-empty")
+        reject_nan(points=self.points)
         self.tolerance = float(tolerance)
         self._squared_norms = np.einsum("ij,ij->i", self.points, self.points)
 

@@ -35,7 +35,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
-from .family import ProblemFamily
+from .family import ProblemFamily, reject_nan
 
 __all__ = ["QPSolution", "QPValue", "ConvexQuadraticProgram", "minimize_convex_qp"]
 
@@ -216,6 +216,12 @@ class ConvexQuadraticProgram(LPTypeProblem):
                 f"{self.g_matrix.shape[0]} constraint rows but "
                 f"{self.h_vector.size} right-hand sides"
             )
+        reject_nan(
+            q_matrix=self.q_matrix,
+            q_vector=self.q_vector,
+            g_matrix=self.g_matrix,
+            h_vector=self.h_vector,
+        )
         eigenvalues = np.linalg.eigvalsh(0.5 * (self.q_matrix + self.q_matrix.T))
         if eigenvalues.min() <= 0:
             raise InvalidInstanceError(

@@ -30,7 +30,7 @@ from ..core.lptype import (
     as_index_array,
     working_set_solve,
 )
-from .family import ProblemFamily
+from .family import ProblemFamily, reject_nan
 from .qp import minimize_convex_qp
 
 __all__ = ["SVMValue", "LinearSVM"]
@@ -100,6 +100,7 @@ class LinearSVM(LPTypeProblem):
             raise InvalidInstanceError(
                 f"{self.points.shape[0]} points but {self.labels.size} labels"
             )
+        reject_nan(points=self.points, labels=self.labels)
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise InvalidInstanceError("labels must be -1 or +1")
         self.tolerance = float(tolerance)

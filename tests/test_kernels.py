@@ -17,6 +17,7 @@ import pytest
 from repro import SolverConfig, kernels, solve, solve_many
 from repro.api.registry import describe_model
 from repro.core.lptype import ConstraintPack, as_index_array, _as_selector
+from repro.kernels.base import BLOCK_ROWS
 from repro.problems.meb import MinimumEnclosingBall
 from repro.problems.qp import ConvexQuadraticProgram
 from repro.workloads import (
@@ -32,6 +33,11 @@ FAMILIES = ("lp", "meb", "svm", "qp")
 
 N = 3_000
 D = 4
+
+#: A size that crosses two row blocks of the blocked kernels, with a ragged
+#: last block; every other parity case here fits in one block.
+BIG_N = 2 * BLOCK_ROWS + 321
+BIG_D = 8
 
 
 def _build(family: str, n: int = N, d: int = D, seed: int = 7):
@@ -68,21 +74,24 @@ SELECTORS = {
 }
 
 
-@pytest.mark.parametrize("selector", sorted(SELECTORS))
-@pytest.mark.parametrize("family", FAMILIES)
-def test_sweep_parity_grid(family, selector):
-    problem = _build(family)
+def _assert_sweep_parity(problem, selector, log: bool = False):
     witness = _witness(problem)
     indices = SELECTORS[selector](problem.num_constraints)
     m = problem.num_constraints if indices is None else len(indices)
-    weights = np.random.default_rng(3).uniform(0.1, 5.0, size=m)
+    rng = np.random.default_rng(3)
+    if log:
+        log_weights = rng.normal(scale=3.0, size=m)
+        shift = float(log_weights.max()) if m else 0.0
+        weighting = dict(log_weights=log_weights, log_shift=shift)
+    else:
+        weighting = dict(weights=rng.uniform(0.1, 5.0, size=m))
 
     with kernels.use_backend("numpy"):
-        ref = problem.violation_sweep(witness, indices, weights=weights)
+        ref = problem.violation_sweep(witness, indices, **weighting)
     assert ref.count == int(ref.mask.sum())
     for backend in ALTERNATES:
         with kernels.use_backend(backend):
-            got = problem.violation_sweep(witness, indices, weights=weights)
+            got = problem.violation_sweep(witness, indices, **weighting)
         assert np.array_equal(got.mask, ref.mask), backend
         assert got.count == ref.count, backend
         # Weight sums: the sanctioned ulp exception.
@@ -90,14 +99,38 @@ def test_sweep_parity_grid(family, selector):
         assert got.total_weight == pytest.approx(ref.total_weight, rel=1e-12)
 
 
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
 @pytest.mark.parametrize("family", FAMILIES)
-def test_scores_bit_identical(family):
-    problem = _build(family)
+def test_sweep_parity_grid(family, selector):
+    _assert_sweep_parity(_build(family), selector)
+
+
+@pytest.fixture(scope="module")
+def build_big():
+    """The ``BIG_N`` x ``BIG_D`` instance of a family, built once per module."""
+    built = {}
+
+    def get(family: str):
+        if family not in built:
+            built[family] = _build(family, n=BIG_N, d=BIG_D)
+        return built[family]
+
+    return get
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["weights", "log_weights"])
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_parity_across_blocks(build_big, family, selector, log):
+    _assert_sweep_parity(build_big(family), selector, log=log)
+
+
+def _assert_scores_bit_identical(family, problem, selections):
     pack = problem.constraint_pack()
     if pack is None:
         pytest.skip(f"{family} has no constraint pack")
     encoded = problem.encode_witness(_witness(problem))
-    for indices in (None, np.arange(50, 2_000), np.arange(0, N, 7)):
+    for indices in selections:
         with kernels.use_backend("numpy"):
             ref = pack.scores(encoded, indices)
         for backend in ALTERNATES:
@@ -105,6 +138,18 @@ def test_scores_bit_identical(family):
                 got = pack.scores(encoded, indices)
             assert got.dtype == np.float64
             assert np.array_equal(got, ref), (backend, indices)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scores_bit_identical(family):
+    selections = (None, np.arange(50, 2_000), np.arange(0, N, 7))
+    _assert_scores_bit_identical(family, _build(family), selections)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scores_bit_identical_across_blocks(build_big, family):
+    selections = (None, np.arange(50, BIG_N - 137), np.arange(0, BIG_N, 7))
+    _assert_scores_bit_identical(family, build_big(family), selections)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -188,6 +233,61 @@ def test_gumbel_top_k_matches_legacy(backend, zeros):
             arr.copy(), size, np.random.default_rng(99)
         )
         assert np.array_equal(got, expected), (backend, size)
+
+
+def _engine_log_weights(n: int, shape: str, seed: int = 0) -> np.ndarray:
+    """Log weights as the engine leaves them: ``k * log(n^(1/4))`` per row,
+    for the ``k`` boosts a row has collected."""
+    rng = np.random.default_rng(seed)
+    arr = np.zeros(n)
+    levels = {
+        "uniform": (),
+        "boost-60%": (0.6,),
+        "boost-0.1%": (0.001,),
+        "boost-1%-0.1%": (0.01, 0.001),
+        "boost-60%-1%-0.1%": (0.6, 0.01, 0.001),
+        "shifted": (0.6, 0.01, 0.001),
+    }[shape]
+    for share in levels:
+        arr[rng.choice(n, size=max(1, int(share * n)), replace=False)] += np.log(n) / 4
+    if shape == "shifted":
+        arr -= 37.625
+    return arr
+
+
+def _assert_gumbel_matches_legacy(backend, arr, sizes, seed):
+    for size in sizes:
+        ref_gen = np.random.default_rng(seed)
+        got_gen = np.random.default_rng(seed)
+        expected = _legacy_gumbel_top_k(arr.copy(), size, ref_gen)
+        got = kernels.get_backend(backend).gumbel_top_k(arr.copy(), size, got_gen)
+        assert np.array_equal(got, expected), (backend, arr.size, size, seed)
+        # The uniform stream is left at the same next draw.
+        assert got_gen.random() == ref_gen.random(), (backend, size, seed)
+
+
+ENGINE_SHAPES = ("uniform", "boost-0.1%", "boost-1%-0.1%", "boost-60%-1%-0.1%", "shifted")
+
+
+@pytest.mark.parametrize("shape", ENGINE_SHAPES)
+@pytest.mark.parametrize("n", [1_000, BIG_N])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_gumbel_top_k_matches_legacy_on_engine_weights(backend, n, shape):
+    arr = _engine_log_weights(n, shape)
+    sizes = (1, 7, n // 300, n // 2, n - 1, n)
+    _assert_gumbel_matches_legacy(backend, arr, sizes, seed=n + len(shape))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_gumbel_top_k_matches_legacy_on_tiny_draws(backend):
+    # At n = 64 a draw of a few rows often finds too few candidates above
+    # its first threshold, and a boosted draw of one row now and then a best
+    # key below the threshold's bound, so these seeds also run the
+    # selection's widening step, for both reasons.
+    for seed in range(300):
+        for shape in ("uniform", "boost-60%", "boost-60%-1%-0.1%"):
+            arr = _engine_log_weights(64, shape, seed=seed)
+            _assert_gumbel_matches_legacy(backend, arr, (1, 3, 7, 20), seed)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
