@@ -1,16 +1,16 @@
 """Live-serve chaos smoke: SIGKILL a pool worker mid-ticket, correct result.
 
 Boots an in-process :class:`~repro.server.ReproServer` whose sessions run on
-the **supervised process transport** (real worker processes), submits a
-large coordinator-model ticket, and — as soon as the SSE stream reports the
-first solver iteration — SIGKILLs one of the session's live pool workers.
-The supervised transport must detect the crash, respawn the worker, replay
-its journal, and finish the ticket with a ``repro-result/1`` payload
-**bit-identical** to the fault-free in-process ``repro.solve()`` reference.
-Any divergence, hang (deadline), or raw pool error exits non-zero.
+the **process transport** (real worker processes), submits a large
+coordinator-model ticket, and — as soon as the SSE stream reports the first
+solver iteration — SIGKILLs one of the session's live pool workers.  The
+transport must detect the crash, respawn the worker, replay its journal, and
+finish the ticket with a ``repro-result/1`` payload **bit-identical** to the
+fault-free in-process ``repro.solve()`` reference.  Any divergence, hang
+(deadline), or raw pool error exits non-zero.
 
 This is the CI chaos gate for the full service path: HTTP front end →
-SolverService retry loop → session → supervised transport recovery.
+SolverService retry loop → session → transport crash recovery.
 
 Run with::
 
@@ -38,7 +38,7 @@ CONFIG = dict(
     seed=0,
     keep_trace=True,
 )
-TRANSPORT = {"kind": "process", "max_workers": 2, "supervised": True, "reuse_pool": False}
+TRANSPORT = {"kind": "process", "max_workers": 2, "reuse_pool": False}
 
 
 def main() -> int:
@@ -60,8 +60,7 @@ def main() -> int:
         client = ServiceClient(server.url)
         session = server._pool.get("coordinator")
         transport = session._transport
-        assert transport is not None, "expected a supervised process transport"
-        transport._ensure_started()
+        assert transport is not None, "expected a process transport"
         victim_pid = transport.worker_pids()[0]
 
         killed = threading.Event()

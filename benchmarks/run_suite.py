@@ -419,11 +419,7 @@ def _transport_cell(problem, workers: int, wire: str, rounds: int, repeats: int)
                 )
             walls.append(time.perf_counter() - start)
             # Memory observed while the session is still live (states held).
-            if wire == "tcp":
-                pids = transport.agent_pids()
-            else:
-                pids = [process.pid for process, _ in transport._workers]
-            memory = _worker_memory_kb(pids)
+            memory = _worker_memory_kb(transport.worker_pids())
             transport.release(session)
     finally:
         transport.close()

@@ -70,27 +70,24 @@ class TransportConfig:
         count for ``"tcp"`` (``>= 1``); nodes are pinned to workers by
         ``node_id % max_workers``.
     reuse_pool:
-        Whether ``"process"`` solves share one process-wide worker pool
-        (start-up cost paid once) or each solve owns a private pool.
-        Inside a :class:`~repro.api.session.Session` the distinction moves
-        to the session: ``reuse_pool=False`` yields a *session-private*
-        pool, spun up once at session creation, reused by every solve of
-        the session, and torn down by ``Session.close()`` — the
-        amortisation the ``session_amortization`` benchmark measures.
+        Whether ``"process"`` / ``"tcp"`` solves share one process-wide
+        transport per distinct config (start-up cost paid once) or each
+        solve owns a private one.  Inside a
+        :class:`~repro.api.session.Session` the distinction moves to the
+        session: ``reuse_pool=False`` yields a *session-private* transport,
+        spun up once at session creation, reused by every solve of the
+        session, and torn down by ``Session.close()`` — the amortisation
+        the ``session_amortization`` benchmark measures.
     start_method:
         :mod:`multiprocessing` start method for the workers (``"spawn"``
         inherits nothing and behaves identically on every platform).
-    supervised:
-        With ``kind="process"``, run the pool under the resilience layer's
-        supervisor (:class:`~repro.resilience.supervisor.SupervisedProcessPoolTransport`):
-        crash detection, bounded worker restart with journal-replay state
-        recovery, and graceful degradation to in-process execution.  Results
-        stay bit-identical to the unsupervised pool (and to in-process).
     max_restarts:
-        Restart budget per worker failure under supervision (``0`` disables
-        restarts: the first crash degrades immediately).
-    restart_backoff_s:
-        Base delay of the supervisor's exponential restart backoff.
+        Recovery attempts per worker failure, for ``"process"`` and
+        ``"tcp"`` alike (:class:`~repro.fabric.transport.JournaledTransport`):
+        each moves the lost worker's nodes to a fresh worker (or, where none
+        can be started, a surviving one) and replays their journal.  When
+        they run out the transport degrades to in-process execution; ``0``
+        degrades on the first crash.  Results stay bit-identical throughout.
     shared_memory:
         With ``kind="process"``, ship the problem's large constraint arrays
         through POSIX shared-memory segments (zero-copy: every worker maps
@@ -120,7 +117,7 @@ class TransportConfig:
     heartbeat_timeout_s:
         With ``kind="tcp"``, silence after which a member turns ``suspect``
         (and, after twice this, ``dead`` — triggering journal-replay
-        recovery onto a surviving or respawned agent).
+        recovery onto a respawned or surviving agent).
     registration_timeout_s:
         With ``kind="tcp"``, how long a joining member may take to complete
         registration (and how long the transport waits for its spawned
@@ -131,9 +128,7 @@ class TransportConfig:
     max_workers: int = 2
     reuse_pool: bool = True
     start_method: str = "spawn"
-    supervised: bool = False
     max_restarts: int = 3
-    restart_backoff_s: float = 0.05
     shared_memory: bool = True
     listen: str = "127.0.0.1:0"
     addresses: tuple = ()
@@ -160,11 +155,6 @@ class TransportConfig:
         if self.max_restarts < 0:
             raise InvalidConfigError(
                 f"TransportConfig.max_restarts must be >= 0 (got {self.max_restarts!r})"
-            )
-        if self.restart_backoff_s < 0:
-            raise InvalidConfigError(
-                "TransportConfig.restart_backoff_s must be >= 0 "
-                f"(got {self.restart_backoff_s!r})"
             )
         # JSON overrides hand addresses over as a list; the frozen dataclass
         # wants a hashable tuple of "host:port" strings.
@@ -203,7 +193,7 @@ class TransportConfig:
 def _coerce_transport(config: Any) -> None:
     """Accept a plain mapping for a config's ``transport`` field.
 
-    The CLI's ``--set transport={"kind": "process", "supervised": true}``
+    The CLI's ``--set transport={"kind": "process", "max_restarts": 1}``
     hands the server a JSON object; coercing it here (in each frozen config's
     ``__post_init__``) keeps every entry path — facade kwargs, server
     overrides, ``construct_config`` — accepting either form.

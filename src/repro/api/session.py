@@ -52,11 +52,7 @@ from ..core.exceptions import InvalidConfigError, RegistryError, SessionError
 from ..core.result import ResourceUsage, SolveResult, WarmStats
 from ..resilience.faults import RecoveryNotes
 from ..fabric import shm
-from ..fabric.transport import (
-    ProcessPoolTransport,
-    Transport,
-    shared_process_transport,
-)
+from ..fabric.transport import Transport, transport_for
 from .config import SolverConfig
 from .facade import build_config
 from .registry import ModelSpec, get_family, get_model
@@ -307,70 +303,24 @@ class Session:
         # Shared-memory exports made by this session's solves are co-owned by
         # this token, so the problem's segment outlives the per-solve fabric
         # sessions and is unlinked deterministically at close().  Only
-        # long-lived sessions on a process transport need one.
+        # long-lived sessions on a shared-memory transport need one.
         self._shm_token: Optional[str] = None
         if (
             transport_cfg is not None
-            and transport_cfg.kind == "process"
-            and "process" in self.spec.transports
+            and transport_cfg.kind != "inprocess"
+            and transport_cfg.kind in self.spec.transports
         ):
-            supervised = bool(getattr(transport_cfg, "supervised", False))
-            shared_memory = bool(getattr(transport_cfg, "shared_memory", True))
-            if transport_cfg.reuse_pool:
-                self._transport = shared_process_transport(
-                    transport_cfg.max_workers,
-                    transport_cfg.start_method,
-                    supervised=supervised,
-                    shared_memory=shared_memory,
-                )
-            else:
-                if supervised:
-                    from ..resilience.retry import RetryPolicy
-                    from ..resilience.supervisor import SupervisedProcessPoolTransport
-
-                    pool: ProcessPoolTransport = SupervisedProcessPoolTransport(
-                        max_workers=transport_cfg.max_workers,
-                        start_method=transport_cfg.start_method,
-                        shared_memory=shared_memory,
-                        restart_policy=RetryPolicy(
-                            max_attempts=transport_cfg.max_restarts,
-                            backoff_s=transport_cfg.restart_backoff_s,
-                        ),
-                    )
-                else:
-                    pool = ProcessPoolTransport(
-                        max_workers=transport_cfg.max_workers,
-                        start_method=transport_cfg.start_method,
-                        shared_memory=shared_memory,
-                    )
-                self._transport = pool
-                self._owns_transport = True
-            if self._warm_tracking:
+            self._transport = transport_for(transport_cfg)
+            # A private transport belongs to this session, not to one run:
+            # clear the flag so topologies leave it up between solves.
+            self._owns_transport = self._transport.private
+            self._transport.private = False
+            if self._warm_tracking and self._transport.shared_memory:
                 self._shm_token = shm.new_pin_token()
-            if self._warm_tracking:
-                # Explicit sessions pay spin-up now; ephemeral shims leave
-                # shared pools lazy (the first solve starts them, exactly as
-                # the one-shot facade always has).
-                self._transport.warm_up()
-            elif self._owns_transport:
-                self._transport.warm_up()
-        elif (
-            transport_cfg is not None
-            and transport_cfg.kind == "tcp"
-            and "tcp" in self.spec.transports
-        ):
-            # Same pinning rules as the process pool, but cluster-backed: no
-            # shm pin token (the TCP wire ships plain pickles), and explicit
-            # agent addresses always make the cluster session-private.
-            from ..cluster.transport import resolve_tcp_transport
-
-            self._transport = resolve_tcp_transport(transport_cfg)
-            self._owns_transport = bool(getattr(self._transport, "private", False))
-            if self._owns_transport:
-                # The session owns teardown now; clear the per-run flag so
-                # the topology does not close the cluster after one solve.
-                self._transport.private = False
             if self._warm_tracking or self._owns_transport:
+                # Explicit sessions pay spin-up now; ephemeral shims leave
+                # shared transports lazy (the first solve starts them, exactly
+                # as the one-shot facade always has).
                 self._transport.warm_up()
 
     # ------------------------------------------------------------------ #
@@ -439,7 +389,7 @@ class Session:
         """One driver run in the session's solve scope.
 
         The scope pins the session's transport and shared-memory token,
-        installs the budget meter, and hands the supervised transport fresh
+        installs the budget meter, and hands the transport fresh
         :class:`~repro.resilience.faults.RecoveryNotes` to report what it
         did; worker restarts are folded into the result's
         ``transport_retries`` usage counter, and a degradation to in-process

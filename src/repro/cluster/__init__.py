@@ -1,6 +1,6 @@
 """The cluster subsystem: real multi-host execution for the fabric.
 
-Three layers turn the fabric's in-process/`multiprocessing` node abstraction
+Four modules turn the fabric's in-process/`multiprocessing` node abstraction
 into a network-real one:
 
 * :mod:`repro.cluster.protocol` — length-prefixed
@@ -8,17 +8,17 @@ into a network-real one:
   registration handshake (protocol/version negotiation);
 * :mod:`repro.cluster.agent` — the node agent process
   (``python -m repro node --connect host:port``): registers with a
-  coordinator, holds node states, executes the same pure
-  ``fn(state, *args) -> (state, result)`` tasks the process pool runs, and
-  streams heartbeats;
+  coordinator, runs the fabric's one worker command loop
+  (:func:`~repro.fabric.transport.worker_loop`) over its socket, and streams
+  heartbeats;
 * :mod:`repro.cluster.registry` — coordinator-side membership: accepted /
   dialed agents, per-node liveness (``joining``/``ready``/``suspect``/
   ``dead``) driven by a clock-injectable :class:`HeartbeatMonitor`, and
   draining on shutdown;
-* :mod:`repro.cluster.transport` — :class:`TcpTransport`, the third fabric
-  backend: dispatches node tasks over the registry's sockets with the same
-  bit-identity contract as the in-process and process-pool transports, and
-  the resilience layer's journal-replay recovery when an agent dies.
+* :mod:`repro.cluster.transport` — :class:`TcpTransport`, the fabric's
+  :class:`~repro.fabric.transport.JournaledTransport` over registry members
+  instead of pipe workers: the same journal, recovery ladder and in-process
+  degradation as the process pool, and the same bit-identity contract.
 
 Enable it with ``TransportConfig(kind="tcp")`` — by default the transport
 spawns ``max_workers`` loopback agents, so single-host callers need no
@@ -36,7 +36,7 @@ from .protocol import (
 )
 from .registry import ClusterRegistry
 from .agent import NodeAgent
-from .transport import TcpTransport, resolve_tcp_transport, shared_tcp_transport
+from .transport import TcpTransport
 
 __all__ = [
     "ClusterRegistry",
@@ -50,6 +50,4 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "TcpTransport",
     "parse_address",
-    "resolve_tcp_transport",
-    "shared_tcp_transport",
 ]

@@ -11,7 +11,7 @@ matters:
 * the topologies charge every measured message to ``meter`` and consult
   ``fault_plan`` per node dispatch, and the round ledger feeds ``tap``;
 * the transports consult ``fault_plan`` on every delivery, and the
-  supervised and cluster transports report into ``recovery``;
+  process and TCP transports report into ``recovery``;
 * :func:`~repro.fabric.transport.resolve_transport` hands out ``transport``
   when its kind matches, and the shared-memory store co-owns every export
   under ``shm_pin``.
@@ -58,8 +58,8 @@ class SolveContext:
         :class:`~repro.resilience.faults.FaultPlan` consulted at the fabric's
         probe points.
     recovery:
-        :class:`~repro.resilience.faults.RecoveryNotes` the supervised and
-        cluster transports report restarts and degradation into.
+        :class:`~repro.resilience.faults.RecoveryNotes` the process and
+        TCP transports report restarts and degradation into.
     transport:
         The session's long-lived :class:`~repro.fabric.transport.Transport`,
         handed to every driver that asks for a transport of its kind.

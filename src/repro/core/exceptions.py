@@ -101,8 +101,8 @@ class TransportFailure(CommunicationError):
     Attributes
     ----------
     retryable:
-        ``True`` when the failure is transient (the supervised transport
-        restarted the worker, or a fresh attempt may find a healthy pool);
+        ``True`` when the failure is transient (the transport replaces the
+        lost worker, or a fresh attempt may find a healthy pool);
         ``False`` when the transport is terminally broken (restart budget
         exhausted and degradation disabled) and the owning session should be
         replaced.

@@ -7,8 +7,11 @@ model:
   bit size is *measured from the serialized form*, never declared by callers;
 * :mod:`repro.fabric.transport` — how node-local computation executes and how
   payloads move: :class:`InProcessTransport` (deterministic, zero-copy,
-  default) and :class:`ProcessPoolTransport` (real multiprocess workers,
-  bit-identical results to in-process);
+  default) and one :class:`JournaledTransport` for out-of-process workers —
+  one worker command loop (:func:`worker_loop`), one per-session journal and
+  one recovery ladder — configured as :class:`ProcessPoolTransport` (pipe
+  workers) or :class:`~repro.cluster.transport.TcpTransport` (node agents),
+  bit-identical results to in-process;
 * :mod:`repro.fabric.topology` — who talks to whom and when: star and
   tree-aggregation coordinator topologies, the round-synchronous MPC grid,
   and the single-reader stream, all feeding one shared
@@ -35,6 +38,7 @@ from .payload import (
 )
 from .transport import (
     InProcessTransport,
+    JournaledTransport,
     ProcessPoolTransport,
     Transport,
     resolve_transport,
@@ -63,6 +67,7 @@ __all__ = [
     "encode_witness_vector",
     "Transport",
     "InProcessTransport",
+    "JournaledTransport",
     "ProcessPoolTransport",
     "resolve_transport",
     "shared_process_transport",

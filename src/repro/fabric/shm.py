@@ -300,7 +300,7 @@ class ShippedObject:
     """A picklable zero-copy handle: tiny payload + shared-segment reference.
 
     Pickling a :class:`ShippedObject` writes only the payload bytes and the
-    segment name — the supervisor's journal therefore records a *reference*
+    segment name — a transport's journal therefore records a *reference*
     to the shared pages, never a copy.  Unpickling (anywhere in the same
     machine, while the creator keeps the segment alive) re-maps the segment
     and rebuilds the object with read-only views.

@@ -4,24 +4,32 @@ A :class:`Transport` owns the *execution substrate* of a topology's nodes
 (coordinator sites, MPC machines, the stream reader).  Node state lives with
 the transport, keyed by ``(session, node_id)``; a topology runs node-local
 work by handing the transport a **top-level function** ``fn(state, *args) ->
-(state, result)``.  Two implementations:
+(state, result)``.  Three implementations:
 
 * :class:`InProcessTransport` — the default simulator: states in a dict,
   tasks run inline in deterministic node order, payloads delivered zero-copy.
-* :class:`ProcessPoolTransport` — real OS processes: a fixed pool of worker
-  processes (``spawn`` start method by default, so no inherited state), node
-  states pinned to workers by ``node_id % workers``, task functions pickled
-  by reference, and payloads delivered through their canonical wire bytes.
+* :class:`ProcessPoolTransport` — local worker processes over pipes
+  (``spawn`` start method by default, so no inherited state).
+* :class:`~repro.cluster.transport.TcpTransport` — node agents over TCP
+  sockets, on this host or others.
 
-Both run the *same* task functions on the *same* per-node states (RNG
+The last two are configurations of one :class:`JournaledTransport`: nodes
+are pinned to ``max_workers`` slots by ``node_id % max_workers``, every slot
+is served by a worker running :func:`worker_loop` over its channel, task
+functions travel pickled by reference, args and results through their
+canonical wire bytes, and a per-session journal lets a lost worker be
+replaced without changing a bit.
+
+All run the *same* task functions on the *same* per-node states (RNG
 generators ship inside the state, so random streams advance identically),
 which is why a solve is bit-identical across transports — the cross-transport
 determinism tests pin this.
 
-A module-level shared process pool (:func:`shared_process_transport`) lets
-many solves reuse the same workers: states are namespaced per session, so
-concurrent solves (e.g. ``solve_many(max_workers > 1)``) cannot observe each
-other.
+:func:`resolve_transport` builds a transport from a
+:class:`~repro.api.config.TransportConfig`.  With ``reuse_pool=True`` many
+solves share one process-wide transport per config: states are namespaced
+per session, so concurrent solves (e.g. ``solve_many(max_workers > 1)``)
+cannot observe each other.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import pickle
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..core.context import solve_context
 from ..core.exceptions import CommunicationError, TransportFailure
@@ -45,12 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.config import TransportConfig
 
 __all__ = [
+    "Channel",
     "SharedRef",
     "Transport",
     "InProcessTransport",
+    "JournaledTransport",
     "ProcessPoolTransport",
     "resolve_transport",
     "shared_process_transport",
+    "transport_for",
+    "worker_loop",
 ]
 
 _SESSION_COUNTER = itertools.count()
@@ -120,7 +132,7 @@ class Transport:
         return plan if plan is not None else solve_context().fault_plan
 
     def health(self) -> dict:
-        """Liveness / degradation summary (deepened by supervised pools)."""
+        """Liveness / degradation summary (deepened by journaled transports)."""
         return {"kind": self.name, "supervised": False, "degraded": False}
 
     def init_shared(self, session: str, key: str, value: Any) -> None:
@@ -193,18 +205,34 @@ class InProcessTransport(Transport):
             del self._shared[key]
 
 
-def _worker_main(conn) -> None:  # pragma: no cover - runs in a child process
-    """Worker loop: hold node states, apply task functions, reply with results.
+def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
+    """The command loop of every worker: pool processes and node agents.
 
-    Shared values arrive as ordinary pickles; a pickled
-    :class:`~repro.fabric.shm.ShippedObject` transparently re-attaches the
-    parent's shared segment, so the worker maps the same physical pages
-    instead of holding a private copy.  Which segments each session pulled
-    in is tracked so ``release`` can drop the mappings again — a long-lived
-    pool must not accumulate maps of unlinked segments across solves.
-    Task functions are cached per pickle (they are shipped by reference and
-    recur every round); args/results travel through the pickle-free frame
-    codec.
+    ``conn`` is anything with ``send(message)`` and ``recv()``: a
+    :mod:`multiprocessing` pipe end in a pool worker, a
+    :class:`~repro.cluster.protocol.FrameConnection` in a node agent.  Every
+    command gets exactly one reply, ``("ok", body)`` or ``("error", text)``:
+
+    ========================================================  ===================
+    command                                                   ``ok`` body
+    ========================================================  ===================
+    ``("share", session, key, value_bytes)``                  ``None``
+    ``("init", session, node_id, state_bytes)``               ``None``
+    ``("run", session, [(node_id, fn_bytes, args_bytes)])``   ``[result_bytes]``
+    ``("ping",)``                                             ``"pong"``
+    ``("release", session)``                                  ``None``
+    ``("stop",)``                                             ``None``, then exit
+    ========================================================  ===================
+
+    A raising task answers ``("error", traceback)`` and an unknown command
+    ``("error", "unknown command ...")``; neither ends the loop, which
+    returns on ``stop`` or when the channel closes.  Shared values arrive as
+    pickles; a pickled :class:`~repro.fabric.shm.ShippedObject` re-attaches
+    the parent's segment, so the worker maps the same physical pages, and
+    ``release`` drops the session's mappings again — a long-lived worker
+    must not accumulate maps of unlinked segments.  Task functions are
+    cached per pickle (they recur every round); args and results travel
+    through the pickle-free frame codec.
     """
     states: dict[tuple[str, int], Any] = {}
     shared: dict[tuple[str, str], Any] = {}
@@ -213,11 +241,10 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in a child process
     while True:
         try:
             message = conn.recv()
-        except (EOFError, OSError):
+        except (EOFError, OSError, wirecodec.TruncatedFrameError):
             return
         command = message[0]
-        if command == "stop":
-            return
+        reply: tuple = ("ok", None)
         try:
             if command == "share":
                 _, session, key, value_bytes = message
@@ -229,13 +256,11 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in a child process
                     if fresh:
                         shm.retain_attachments(fresh)
                         known.update(fresh)
-                conn.send(("ok", None))
             elif command == "init":
                 _, session, node_id, state_bytes = message
                 states[(session, node_id)] = _resolve_shared(
                     wirecodec.loads(state_bytes), shared, session
                 )
-                conn.send(("ok", None))
             elif command == "run":
                 _, session, tasks = message
                 results = []
@@ -248,9 +273,9 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in a child process
                     state, result = fn(states[key], *args)
                     states[key] = state
                     results.append(wirecodec.dumps(result))
-                conn.send(("ok", results))
+                reply = ("ok", results)
             elif command == "ping":
-                conn.send(("ok", "pong"))
+                reply = ("ok", "pong")
             elif command == "release":
                 _, session = message
                 for key in [k for k in states if k[0] == session]:
@@ -260,58 +285,197 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in a child process
                 names = session_segments.pop(session, None)
                 if names:
                     shm.release_attachments(names)
-                conn.send(("ok", None))
-            else:
-                conn.send(("error", f"unknown command {command!r}"))
+            elif command != "stop":
+                reply = ("error", f"unknown command {command!r}")
         except BaseException:
-            conn.send(("error", traceback.format_exc()))
+            reply = ("error", traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        if command == "stop":
+            return
 
 
-class ProcessPoolTransport(Transport):
-    """Real multiprocess workers for coordinator sites and MPC machines.
+class Channel:
+    """One worker behind a slot: a request/reply link plus its process.
 
-    Nodes are pinned to workers (``node_id % max_workers``) so a node's state
-    stays on one worker for the whole session; the state — including the
-    node's private RNG, derived from the run's root seed via
-    ``SeedSequence.spawn`` — is shipped once at init and then lives worker
-    side.  Payload delivery round-trips the canonical wire bytes, so the
-    receiver observes exactly what a remote peer would.
-
-    Per-worker locks make the transport safe under the thread-pool batch
-    layer: two threads' sessions interleave at message granularity but each
-    session's task order (and therefore its RNG consumption) is fixed by its
-    own thread, keeping batches deterministic.
+    Subclasses provide ``send`` / ``recv`` (raising a retryable
+    :class:`TransportFailure` when the worker is lost), ``alive``, ``kill``
+    (SIGKILL, for fault injection) and ``discard`` (stop the worker and
+    drop the link), and set ``name``, ``number``, ``pid`` and ``lock``.
+    ``lock`` pairs every request with its reply; ``number`` orders lock
+    acquisition, and a replacement always numbers above the channel it
+    replaces.
     """
 
-    name = "process"
+    name: str
+    number: int
+    pid: int
+    lock: threading.RLock
+
+    def request(self, message: tuple) -> tuple:
+        with self.lock:
+            self.send(message)
+            return self.recv()
+
+
+class _PipeChannel(Channel):
+    """A pool worker: one process running :func:`worker_loop` on a pipe."""
+
+    def __init__(self, context, number: int) -> None:
+        parent_conn, child_conn = context.Pipe()
+        self.process = context.Process(target=worker_loop, args=(child_conn,), daemon=True)
+        self.process.start()
+        child_conn.close()
+        self.conn = parent_conn
+        self.number = number
+        self.name = f"worker {number}"
+        self.pid = self.process.pid
+        self.lock = threading.RLock()
+
+    def send(self, message: tuple) -> None:
+        try:
+            self.conn.send(message)
+        except (OSError, ValueError) as exc:
+            raise TransportFailure(
+                f"{self.name} is unreachable (died?): {exc!r}", retryable=True
+            ) from exc
+
+    def recv(self) -> tuple:
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise TransportFailure(
+                f"{self.name} died mid-request: {exc!r}", retryable=True
+            ) from exc
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def kill(self) -> None:
+        self.process.kill()
+        self.process.join(timeout=5)
+
+    def discard(self) -> None:
+        with self.lock:
+            try:
+                self.conn.send(("stop",))
+            except (OSError, ValueError):
+                pass
+            self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - defensive
+            self.process.terminate()
+
+
+class _SessionJournal:
+    """Everything needed to rebuild one session's worker-side state.
+
+    ``ops`` is the ordered log of shares and node inits (order matters: a
+    ``SharedRef`` is resolved against the shares installed before the
+    init); ``tasks`` maps ``node_id`` to the task triples its worker
+    acknowledged since that node's most recent init.
+    """
+
+    __slots__ = ("ops", "tasks")
+
+    def __init__(self) -> None:
+        self.ops: list[tuple] = []  # ("share", key, bytes) | ("init", node_id, bytes)
+        self.tasks: dict[int, list[tuple[int, bytes, bytes]]] = {}
+
+
+def _apply(target: InProcessTransport, session: str, ops, triples) -> None:
+    """Re-apply journaled ops, then task triples, in-process."""
+    for kind, key, data in ops:
+        if kind == "share":
+            # A shm-backed share is a pickled ShippedObject: loading it
+            # attaches the segment here, so the fallback works over the same
+            # shared pages.
+            target.init_shared(session, key, pickle.loads(data))
+        else:
+            target.init_node(session, key, wirecodec.loads(data))
+    for node_id, fn_bytes, args_bytes in triples:
+        target.run_nodes(
+            session, [node_id], pickle.loads(fn_bytes), [wirecodec.loads(args_bytes)]
+        )
+
+
+class JournaledTransport(Transport):
+    """Node tasks on out-of-process workers, journaled so that losing a
+    worker costs latency, never bits.
+
+    Nodes are pinned to slots (``node_id % max_workers``) and every slot is
+    served by a :class:`Channel`; subclasses open them (:meth:`_start` at
+    start-up, :meth:`_start_channel` for a replacement, ``None`` when the
+    kind cannot start one) and stop them (:meth:`_shutdown`).  Everything
+    else is written once, here:
+
+    * **Journal.**  Per session, every share and node init is journaled
+      before it is sent, and each worker's task batch when that worker
+      acknowledges it — whatever the other workers of the batch answered.
+      Node states carry their RNGs and tasks are pure, so re-applying the
+      journal rebuilds a node's state bit for bit.
+    * **Recovery ladder.**  A lost worker (pipe EOF, socket loss, heartbeat
+      expiry) surfaces as a retryable :class:`TransportFailure`.  Each of
+      ``max_restarts`` attempts per failure moves the lost worker's slots to
+      a fresh worker where the kind can start one, otherwise to a surviving
+      one, and replays the slots' journal onto it; the unacknowledged tasks
+      are then dispatched again.
+    * **Degradation.**  When the attempts run out, the transport degrades
+      to an :class:`InProcessTransport` rebuilt from the journal and runs
+      there only what the journal lacks — still bit-identical — or, with
+      ``degrade=False``, raises a terminal ``TransportFailure(retryable=
+      False)``.
+
+    A task that raises inside a live worker is not a transport fault: its
+    worker answers with the traceback, which surfaces as a
+    :class:`CommunicationError` after every other reply of the batch was
+    drained and journaled.  Channel locks are taken in channel-number order
+    by every thread, and recovery runs with no channel lock held, so
+    concurrent batches on a shared transport cannot deadlock.
+    """
+
+    #: Whether ``init_shared`` exports large arrays to shared memory first.
+    shared_memory = False
 
     def __init__(
-        self,
-        max_workers: int = 2,
-        start_method: str = "spawn",
-        shared_memory: bool = True,
+        self, max_workers: int, *, max_restarts: int = 3, degrade: bool = True
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = int(max_workers)
-        self.start_method = start_method
-        # Requested zero-copy shipping degrades silently to the pickle path
-        # on platforms without working POSIX shared memory.
-        self.shared_memory = bool(shared_memory) and shm.shared_memory_supported()
-        self._context = mp.get_context(start_method)
-        self._workers: list[tuple[Any, Any]] = []  # (process, connection)
-        self._locks: list[threading.Lock] = []
+        self.max_restarts = int(max_restarts)
+        self.degrade_enabled = bool(degrade)
+        self._slots: list[Channel] = []
         self._started = False
         self._start_lock = threading.Lock()
         self._closed = False
+        self._recover_lock = threading.Lock()
+        self.restarts_per_slot = [0] * self.max_workers
+        self.total_restarts = 0
+        self.degraded = False
+        self._fallback: Optional[InProcessTransport] = None
+        self._journal: dict[str, _SessionJournal] = {}
+        self._journal_lock = threading.Lock()
         # pickle.dumps(fn) per (session, fn): task functions are shipped by
         # reference and recur every round, so the dumps is paid once.
         self._fn_cache: dict[tuple[str, Any], bytes] = {}
         self._fn_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # Worker lifecycle
+    # Channels (supplied by the subclass)
     # ------------------------------------------------------------------ #
+
+    def _start(self) -> list[Channel]:
+        """One channel per slot, at start-up."""
+        return [self._start_channel() for _ in range(self.max_workers)]
+
+    def _start_channel(self) -> Optional[Channel]:
+        raise NotImplementedError
+
+    def _shutdown(self) -> None:
+        raise NotImplementedError
 
     def _ensure_started(self) -> None:
         if self._started:
@@ -321,67 +485,219 @@ class ProcessPoolTransport(Transport):
                 return
             if self._closed:
                 raise CommunicationError("transport is closed")
-            for _ in range(self.max_workers):
-                parent_conn, child_conn = self._context.Pipe()
-                process = self._context.Process(
-                    target=_worker_main, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                self._workers.append((process, parent_conn))
-                self._locks.append(threading.Lock())
+            self._slots = self._start()
             self._started = True
 
     def warm_up(self) -> None:
-        """Start the worker processes now.
+        """Start the workers now.
 
-        Sessions call this at construction so the (substantial, under
-        ``spawn``) interpreter start-up cost is paid once up front instead of
+        Sessions call this at construction so the start-up cost (a fresh
+        interpreter plus imports per worker) is paid up front instead of
         inside the first solve's latency.
         """
         self._ensure_started()
 
-    def _worker_for(self, node_id: int) -> int:
+    def _slot_for(self, node_id: int) -> int:
         return int(node_id) % self.max_workers
 
-    def _send(self, worker: int, message: tuple) -> None:
-        _, conn = self._workers[worker]
-        try:
-            conn.send(message)
-        except (OSError, BrokenPipeError, ValueError) as exc:
-            # Pipe-level failure: the worker process is gone or wedged.  This
-            # is an *infrastructure* fault (retryable — a supervised pool can
-            # restart the worker), unlike the task-level error reply below.
-            raise TransportFailure(
-                f"worker {worker} is unreachable (died?): {exc!r}",
-                retryable=True,
-                worker=worker,
-            ) from exc
+    # ------------------------------------------------------------------ #
+    # Liveness and fault-injection hooks
+    # ------------------------------------------------------------------ #
 
-    def _recv(self, worker: int) -> Any:
-        _, conn = self._workers[worker]
-        try:
-            status, body = conn.recv()
-        except (EOFError, OSError) as exc:
+    def worker_pids(self) -> list[int]:
+        """The process id behind each slot (memory probes, chaos tests)."""
+        self._ensure_started()
+        return [channel.pid for channel in self._slots]
+
+    def kill_worker(self, slot: int) -> None:
+        """SIGKILL the worker behind one slot (deterministic fault injection)."""
+        self._ensure_started()
+        self._slots[slot].kill()
+
+    def ping(self) -> list[bool]:
+        """Round-trip probe per slot; a lost worker is recovered in passing."""
+        if self._fallback is None:
+            self._ensure_started()
+        alive = []
+        for slot in range(self.max_workers):
+            try:
+                reply = self._request(slot, ("ping",))
+            except CommunicationError:
+                reply = "lost"
+            # None: the slot was recovered in passing, or the transport degraded.
+            alive.append(self._fallback is None and reply in ("pong", None))
+        return alive
+
+    def health(self) -> dict:
+        return {
+            "kind": self.name,
+            "supervised": True,
+            "degraded": self.degraded,
+            "total_restarts": self.total_restarts,
+        }
+
+    # ------------------------------------------------------------------ #
+    # Journal, recovery ladder, degradation
+    # ------------------------------------------------------------------ #
+
+    def _record(self, session: str, op: tuple) -> bool:
+        """Journal a share or init; ``False`` once degraded (the op then went
+        straight to the in-process fallback and must not be sent)."""
+        with self._journal_lock:
+            if self._fallback is not None:
+                _apply(self._fallback, session, [op], [])
+                return False
+            journal = self._journal.setdefault(session, _SessionJournal())
+            journal.ops.append(op)
+            if op[0] == "init":
+                journal.tasks[op[1]] = []  # a re-init resets the node's task log
+            return True
+
+    def _record_tasks(self, session: str, triples: list) -> None:
+        """Journal the tasks one worker acknowledged.  Once degraded they
+        advance the fallback instead, which keeps it level with the results
+        the caller is about to return."""
+        with self._journal_lock:
+            if self._fallback is not None:
+                _apply(self._fallback, session, [], triples)
+                return
+            tasks = self._journal.setdefault(session, _SessionJournal()).tasks
+            for triple in triples:
+                tasks.setdefault(triple[0], []).append(triple)
+
+    def _replay(self, channel: Channel, slots: list[int], *, include_shares: bool) -> None:
+        """Rebuild ``slots``' node states on ``channel`` from the journal.
+
+        Shares went to every worker when they were installed, so only a
+        fresh worker needs them again.  Acknowledged tasks re-run to bring
+        each node to its pre-failure state; their results are discarded
+        (they were returned to the caller before the failure).
+        """
+        wanted = set(slots)
+        with self._journal_lock:
+            snapshot = [
+                (
+                    session,
+                    [
+                        op
+                        for op in journal.ops
+                        if (op[0] == "share" and include_shares)
+                        or (op[0] == "init" and self._slot_for(op[1]) in wanted)
+                    ],
+                    [
+                        triple
+                        for node_id, triples in journal.tasks.items()
+                        if self._slot_for(node_id) in wanted
+                        for triple in triples
+                    ],
+                )
+                for session, journal in self._journal.items()
+            ]
+        for session, ops, triples in snapshot:
+            for kind, key, data in ops:
+                self._unwrap(channel, channel.request((kind, session, key, data)))
+            if triples:
+                self._unwrap(channel, channel.request(("run", session, triples)))
+
+    def _recover(self, lost: Channel) -> None:
+        """The recovery ladder for every slot ``lost`` served.
+
+        Runs with no channel lock held (so it may wait for a survivor's).
+        Raises a terminal :class:`TransportFailure` when the attempts run
+        out and degradation is disabled.
+        """
+        with self._recover_lock:
+            slots = [slot for slot, channel in enumerate(self._slots) if channel is lost]
+            if not slots or self._fallback is not None:
+                return  # another thread already recovered these slots
+            lost.discard()
+            for _ in range(self.max_restarts):
+                try:
+                    replacement = self._start_channel()
+                except OSError:  # pragma: no cover - resource exhaustion
+                    replacement = None
+                fresh = replacement is not None
+                if not fresh:
+                    survivors = [c for c in self._slots if c is not lost and c.alive()]
+                    if not survivors:
+                        break
+                    replacement = min(survivors, key=lambda c: c.number)
+                try:
+                    self._replay(replacement, slots, include_shares=fresh)
+                except TransportFailure:
+                    if fresh:
+                        replacement.discard()
+                    continue
+                except CommunicationError:
+                    if fresh:  # not installed in any slot: stop it here
+                        replacement.discard()
+                    raise
+                for slot in slots:
+                    self._slots[slot] = replacement
+                    self.restarts_per_slot[slot] += 1
+                self.total_restarts += 1
+                notes = solve_context().recovery
+                if notes is not None:
+                    notes.restarts += 1
+                    notes.note(
+                        f"{lost.name} lost; slots {slots} moved to "
+                        f"{'fresh' if fresh else 'surviving'} {replacement.name}"
+                    )
+                return
+            self._exhausted(
+                f"{lost.name} is unrecoverable after {self.max_restarts} restart "
+                "attempts",
+                worker=slots[0],
+            )
+
+    def _exhausted(self, reason: str, worker: Optional[int] = None) -> None:
+        """Degrade (the recovery lock is held), or raise a terminal failure."""
+        if not self.degrade_enabled:
             raise TransportFailure(
-                f"worker {worker} died mid-request: {exc!r}",
-                retryable=True,
+                f"{reason} and degradation is disabled",
+                retryable=False,
                 worker=worker,
-            ) from exc
+                attempts=self.max_restarts,
+            )
+        fallback = InProcessTransport()
+        with self._journal_lock:
+            for session, journal in self._journal.items():
+                triples = [t for node_tasks in journal.tasks.values() for t in node_tasks]
+                _apply(fallback, session, journal.ops, triples)
+            self._fallback = fallback
+            self.degraded = True
+        self._shutdown()
+        notes = solve_context().recovery
+        if notes is not None:
+            notes.degraded = True
+            notes.note(f"{self.name} transport unrecoverable: degraded to in-process")
+
+    # ------------------------------------------------------------------ #
+    # Requests
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _unwrap(channel: Channel, reply: tuple) -> Any:
+        """A reply's body; an error reply is user code raising, not a fault."""
+        status, body = reply
         if status == "error":
-            # The worker is alive and replied: user task code raised.  Not a
-            # transport fault — restarting workers cannot fix it.
-            raise CommunicationError(f"worker {worker} failed:\n{body}")
+            raise CommunicationError(f"{channel.name} failed:\n{body}")
         return body
 
-    def _request(self, worker: int, message: tuple) -> Any:
-        with self._locks[worker]:
-            self._send(worker, message)
-            return self._recv(worker)
-
-    # ------------------------------------------------------------------ #
-    # Wire encoding helpers
-    # ------------------------------------------------------------------ #
+    def _request(self, slot: int, message: tuple) -> Any:
+        """One request with recover-on-failure, for the messages a recovery
+        makes unnecessary to re-send (share / init are journaled before they
+        are sent, a released session is out of the journal, a ping has done
+        its job): ``None`` after a recovery or once degraded."""
+        if self._fallback is not None:
+            return None
+        channel = self._slots[slot]
+        try:
+            reply = channel.request(message)
+        except TransportFailure:
+            self._recover(channel)
+            return None
+        return self._unwrap(channel, reply)
 
     def _fn_bytes(self, session: str, fn: Callable[..., Any]) -> bytes:
         """``pickle.dumps(fn)``, cached per ``(session, fn)``."""
@@ -393,12 +709,51 @@ class ProcessPoolTransport(Transport):
                 self._fn_cache[cache_key] = cached
         return cached
 
-    def _release_caches(self, session: str) -> None:
-        """Drop per-session wire caches and this session's shm ownership."""
-        with self._fn_cache_lock:
-            for cache_key in [k for k in self._fn_cache if k[0] == session]:
-                del self._fn_cache[cache_key]
-        shm.store().release_owner(session)
+    def _dispatch(self, session: str, tasks: list, positions: list, replies: dict) -> list:
+        """Ship every worker its tasks among ``positions``, then collect.
+
+        Every batch is sent before any reply is read, so the workers run in
+        parallel.  Each acknowledged batch is journaled as its reply
+        arrives, and every sent batch's reply is drained even when another
+        fails: an unread reply left in a shared worker's channel would hand
+        the *next* batch stale results.  Returns the lost channels; raises
+        the first task error.
+        """
+        batches: dict[Channel, list[int]] = {}
+        for position in positions:
+            channel = self._slots[self._slot_for(tasks[position][0])]
+            batches.setdefault(channel, []).append(position)
+        channels = sorted(batches, key=lambda c: c.number)
+        lost: list[Channel] = []
+        errors: list[CommunicationError] = []
+        sent: list[Channel] = []
+        for channel in channels:
+            channel.lock.acquire()
+        try:
+            for channel in channels:
+                try:
+                    channel.send(("run", session, [tasks[p] for p in batches[channel]]))
+                    sent.append(channel)
+                except TransportFailure:
+                    lost.append(channel)
+            for channel in sent:
+                try:
+                    body = self._unwrap(channel, channel.recv())
+                except TransportFailure:
+                    lost.append(channel)
+                    continue
+                except CommunicationError as exc:
+                    errors.append(exc)
+                    continue
+                batch = batches[channel]
+                self._record_tasks(session, [tasks[p] for p in batch])
+                replies.update(zip(batch, body))
+        finally:
+            for channel in channels:
+                channel.lock.release()
+        if errors:
+            raise errors[0]
+        return lost
 
     # ------------------------------------------------------------------ #
     # Transport API
@@ -407,171 +762,255 @@ class ProcessPoolTransport(Transport):
     def init_shared(self, session: str, key: str, value: Any) -> None:
         """Ship one session-shared object to every worker, once each.
 
-        With ``shared_memory`` enabled the object's large contiguous arrays
-        are exported to a POSIX shared-memory segment owned by this session
+        With ``shared_memory`` the object's large contiguous arrays are
+        exported to a POSIX shared-memory segment owned by this session
         (plus any ambient pin, e.g. the API session's lifetime token); the
-        pickle shipped below then carries a segment *reference* instead of
-        the array bytes, and every worker maps the same physical pages.
+        pickle shipped — and journaled — then carries a segment *reference*,
+        every worker maps the same physical pages, and a replay re-maps them.
         """
+        if self._fallback is not None:
+            return self._fallback.init_shared(session, key, value)
         self._ensure_started()
         if self.shared_memory:
             value = shm.store().export(value, owner=session)
         value_bytes = pickle.dumps(value)
-        for worker in range(self.max_workers):
-            self._request(worker, ("share", session, key, value_bytes))
+        if self._record(session, ("share", key, value_bytes)):
+            for slot in range(self.max_workers):
+                self._request(slot, ("share", session, key, value_bytes))
 
     def init_node(self, session: str, node_id: int, state: Any) -> None:
+        if self._fallback is not None:
+            return self._fallback.init_node(session, node_id, state)
         self._ensure_started()
-        self._request(
-            self._worker_for(node_id),
-            ("init", session, node_id, wirecodec.dumps(state)),
-        )
+        state_bytes = wirecodec.dumps(state)
+        if self._record(session, ("init", node_id, state_bytes)):
+            self._request(self._slot_for(node_id), ("init", session, node_id, state_bytes))
 
     def run_nodes(self, session, node_ids, fn, args_list):
+        if self._fallback is not None:
+            return self._fallback.run_nodes(session, node_ids, fn, args_list)
         self._ensure_started()
+        plan = self._active_plan()
+        if plan is not None:
+            for slot in sorted({self._slot_for(node_id) for node_id in node_ids}):
+                spec = plan.take("dispatch", node=slot)
+                if spec is not None and spec.kind == "worker_crash":
+                    self.kill_worker(slot)
         fn_bytes = self._fn_bytes(session, fn)
-        per_worker: dict[int, list[tuple[int, bytes, bytes]]] = {}
-        order: list[tuple[int, int]] = []  # (worker, position in its batch)
-        for node_id, args in zip(node_ids, args_list):
-            worker = self._worker_for(node_id)
-            batch = per_worker.setdefault(worker, [])
-            order.append((worker, len(batch)))
-            batch.append((node_id, fn_bytes, wirecodec.dumps(tuple(args))))
-        # Ship every worker its batch before collecting any reply, so the
-        # workers genuinely run in parallel.  Locks are taken in sorted
-        # worker order — every thread uses the same order, so two concurrent
-        # batches cannot deadlock on each other's workers.  On failure the
-        # reply of every worker that was sent a batch is still drained:
-        # leaving an unread reply in a (shared!) worker's pipe would hand the
-        # *next* batch this batch's stale results.
-        workers = sorted(per_worker)
-        raw: dict[int, list[bytes]] = {}
-        errors: list[CommunicationError] = []
-        sent: list[int] = []
-        for worker in workers:
-            self._locks[worker].acquire()
-        try:
-            for worker in workers:
-                try:
-                    self._send(worker, ("run", session, per_worker[worker]))
-                    sent.append(worker)
-                except CommunicationError as exc:
-                    errors.append(exc)
-            for worker in sent:
-                try:
-                    raw[worker] = self._recv(worker)
-                except CommunicationError as exc:
-                    errors.append(exc)
-        finally:
-            for worker in workers:
-                self._locks[worker].release()
-        if errors:
-            raise errors[0]
-        return [wirecodec.loads(raw[worker][position]) for worker, position in order]
+        tasks = [
+            (node_id, fn_bytes, wirecodec.dumps(tuple(args)))
+            for node_id, args in zip(node_ids, args_list)
+        ]
+        replies: dict[int, bytes] = {}
+        pending = list(range(len(tasks)))
+        for redispatch in itertools.count():
+            for channel in self._dispatch(session, tasks, pending, replies):
+                self._recover(channel)
+            pending = [position for position in pending if position not in replies]
+            if not pending or self._fallback is not None:
+                break
+            if redispatch >= max(1, self.max_restarts):
+                with self._recover_lock:
+                    if self._fallback is None:
+                        self._exhausted(
+                            f"slots kept losing workers across {redispatch + 1} dispatches"
+                        )
+                break
+        results = {position: wirecodec.loads(body) for position, body in replies.items()}
+        if pending:
+            # Degraded mid-batch: the fallback holds every acknowledged task,
+            # so only the unacknowledged ones run there.
+            results.update(
+                zip(
+                    pending,
+                    self._fallback.run_nodes(
+                        session,
+                        [node_ids[p] for p in pending],
+                        fn,
+                        [args_list[p] for p in pending],
+                    ),
+                )
+            )
+        return [results[position] for position in range(len(tasks))]
 
     def deliver(self, payload: Payload) -> Payload:
         plan = self._active_plan()
         if plan is not None:
-            return faulted_delivery(
-                plan, payload, lambda p: decode_payload(p.to_bytes())
-            )
+            return faulted_delivery(plan, payload, lambda p: decode_payload(p.to_bytes()))
         return decode_payload(payload.to_bytes())
 
     def release(self, session: str) -> None:
+        with self._journal_lock:
+            self._journal.pop(session, None)
+        with self._fn_cache_lock:
+            for cache_key in [k for k in self._fn_cache if k[0] == session]:
+                del self._fn_cache[cache_key]
         try:
-            if self._started:
-                for worker in range(self.max_workers):
-                    self._request(worker, ("release", session))
+            if self._started and self._fallback is None:
+                for slot in range(self.max_workers):
+                    try:
+                        self._request(slot, ("release", session))
+                    except CommunicationError:
+                        pass  # a lost worker holds no state worth releasing
+            if self._fallback is not None:
+                self._fallback.release(session)
         finally:
-            # Even if a worker is unreachable, the session's shm ownership
-            # must drain — a crashed worker cannot keep a segment pinned.
-            self._release_caches(session)
+            # Even with a worker unreachable, the session's shm ownership must
+            # drain — a crashed worker cannot keep a segment pinned.
+            shm.store().release_owner(session)
 
     def close(self) -> None:
         self._closed = True
-        if not self._started:
-            return
-        for (process, conn), lock in zip(self._workers, self._locks):
-            with lock:
-                try:
-                    conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-                conn.close()
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-        self._workers.clear()
-        self._locks.clear()
-        self._started = False
+        with self._journal_lock:
+            self._journal.clear()
+        self._fallback = None
+        if self._started:
+            self._shutdown()
+            self._started = False
 
 
-_SHARED_POOLS: dict[tuple[int, str, bool, bool], ProcessPoolTransport] = {}
-_SHARED_POOLS_LOCK = threading.Lock()
+class ProcessPoolTransport(JournaledTransport):
+    """Node tasks on local worker processes, one per slot, over pipes.
+
+    With ``shared_memory`` (the default, where POSIX shared memory works)
+    shared values ship as segment references; otherwise as plain pickles.
+    A lost worker is always replaced by a freshly started one.
+    """
+
+    name = "process"
+
+    def __init__(
+        self,
+        max_workers: int = 2,
+        start_method: str = "spawn",
+        shared_memory: bool = True,
+        *,
+        max_restarts: int = 3,
+        degrade: bool = True,
+    ) -> None:
+        super().__init__(max_workers, max_restarts=max_restarts, degrade=degrade)
+        self.start_method = start_method
+        # Requested zero-copy shipping degrades silently to the pickle path
+        # on platforms without working POSIX shared memory.
+        self.shared_memory = bool(shared_memory) and shm.shared_memory_supported()
+        self._context = mp.get_context(start_method)
+        self._numbers = itertools.count()
+
+    def _start_channel(self) -> Channel:
+        return _PipeChannel(self._context, next(self._numbers))
+
+    def _shutdown(self) -> None:
+        for channel in dict.fromkeys(self._slots):
+            channel.discard()
+
+    def health(self) -> dict:
+        live = self._started and not self.degraded
+        return {
+            **super().health(),
+            "workers": [
+                {
+                    "alive": live and self._slots[slot].alive(),
+                    "restarts": self.restarts_per_slot[slot],
+                }
+                for slot in range(self.max_workers)
+            ],
+        }
+
+
+# ---------------------------------------------------------------------- #
+# Construction from a TransportConfig, and the shared-transport cache
+# ---------------------------------------------------------------------- #
+
+_SHARED: dict["TransportConfig", JournaledTransport] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def _build(config: "TransportConfig") -> JournaledTransport:
+    """A new, unstarted transport honouring every field of ``config``."""
+    if config.kind == "process":
+        return ProcessPoolTransport(
+            config.max_workers,
+            config.start_method,
+            config.shared_memory,
+            max_restarts=config.max_restarts,
+        )
+    if config.kind == "tcp":
+        # Imported lazily: the cluster package builds on this module.
+        from ..cluster.transport import TcpTransport
+
+        return TcpTransport(
+            config.max_workers,
+            listen=config.listen,
+            addresses=config.addresses,
+            spawn_agents=config.spawn_agents,
+            heartbeat_interval_s=config.heartbeat_interval_s,
+            heartbeat_timeout_s=config.heartbeat_timeout_s,
+            registration_timeout_s=config.registration_timeout_s,
+            max_restarts=config.max_restarts,
+        )
+    raise CommunicationError(f"unknown transport kind {config.kind!r}")
+
+
+def transport_for(config: "TransportConfig") -> JournaledTransport:
+    """The out-of-process transport for a ``process`` or ``tcp`` config.
+
+    ``reuse_pool=True`` (the default) returns the process-wide transport
+    cached under the frozen config itself, so start-up is paid once per
+    distinct config and every field is honoured; sessions namespace the
+    node states, so sharing is invisible to callers.  ``reuse_pool=False``,
+    and explicit agent ``addresses`` (external agents are the caller's
+    own), yield a new transport marked ``private``: whoever holds it closes
+    it.  Shared transports are closed atexit.
+    """
+    if not config.reuse_pool or config.addresses:
+        transport = _build(config)
+        transport.private = True
+        return transport
+    with _SHARED_LOCK:
+        transport = _SHARED.get(config)
+        if transport is None or transport._closed:
+            transport = _SHARED[config] = _build(config)
+    return transport
 
 
 def shared_process_transport(
     max_workers: int = 2,
     start_method: str = "spawn",
-    supervised: bool = False,
     shared_memory: bool = True,
 ) -> ProcessPoolTransport:
-    """A process-wide pool shared by every solve that asks for these knobs.
+    """The shared pool ``TransportConfig(kind="process", ...)`` resolves to."""
+    from ..api.config import TransportConfig
 
-    Worker start-up (a fresh interpreter plus imports under ``spawn``) is paid
-    once per ``(max_workers, start_method, supervised, shared_memory)`` tuple
-    instead of once per solve; sessions namespace the node states, so sharing
-    is invisible to callers.  ``supervised=True`` returns a
-    :class:`~repro.resilience.supervisor.SupervisedProcessPoolTransport`
-    (crash detection, bounded restart, journal replay) instead of the bare
-    pool.  The pools are closed atexit.
-    """
-    key = (int(max_workers), start_method, bool(supervised), bool(shared_memory))
-    with _SHARED_POOLS_LOCK:
-        pool = _SHARED_POOLS.get(key)
-        if pool is None:
-            if supervised:
-                # Imported lazily: the supervisor module subclasses
-                # ProcessPoolTransport, so a top-level import would cycle.
-                from ..resilience.supervisor import SupervisedProcessPoolTransport
-
-                pool = SupervisedProcessPoolTransport(
-                    max_workers=max_workers,
-                    start_method=start_method,
-                    shared_memory=shared_memory,
-                )
-            else:
-                pool = ProcessPoolTransport(
-                    max_workers=max_workers,
-                    start_method=start_method,
-                    shared_memory=shared_memory,
-                )
-            _SHARED_POOLS[key] = pool
-    return pool
+    return transport_for(
+        TransportConfig(
+            kind="process",
+            max_workers=max_workers,
+            start_method=start_method,
+            shared_memory=shared_memory,
+        )
+    )
 
 
 @atexit.register
-def _close_shared_pools() -> None:  # pragma: no cover - interpreter shutdown
-    with _SHARED_POOLS_LOCK:
-        for pool in _SHARED_POOLS.values():
-            pool.close()
-        _SHARED_POOLS.clear()
+def _close_shared_transports() -> None:  # pragma: no cover - interpreter shutdown
+    with _SHARED_LOCK:
+        for transport in _SHARED.values():
+            transport.close()
+        _SHARED.clear()
 
 
 def resolve_transport(config: "TransportConfig | None") -> Transport:
     """The transport instance for one solve, from its (optional) config.
 
     The solve context's ``transport`` wins whenever its kind matches the
-    requested one: the session API pins its long-lived worker pool there,
-    so drivers reuse it across solves without widening their signatures.
-    The pinned transport is never marked ``private``, so topologies release
+    requested one: the session API pins its long-lived transport there, so
+    drivers reuse it across solves without widening their signatures.  The
+    pinned transport is never marked ``private``, so topologies release
     their node states on ``close()`` but leave the workers running — the
-    session tears the pool down when it exits.  Otherwise ``None`` and
+    session tears them down when it exits.  Otherwise ``None`` and
     ``kind="inprocess"`` return a fresh :class:`InProcessTransport`
-    (per-solve state isolation is free); ``kind="process"`` returns the
-    shared pool by default, or a dedicated pool when ``config.reuse_pool``
-    is false — the dedicated pool is marked ``private`` so the owning
-    topology tears it down when the run ends.
+    (per-solve state isolation is free), and ``"process"`` / ``"tcp"`` go
+    through :func:`transport_for`.
     """
     pinned = solve_context().transport
     if pinned is not None:
@@ -580,41 +1019,4 @@ def resolve_transport(config: "TransportConfig | None") -> Transport:
             return pinned
     if config is None or config.kind == "inprocess":
         return InProcessTransport()
-    if config.kind == "process":
-        supervised = bool(getattr(config, "supervised", False))
-        shared_memory = bool(getattr(config, "shared_memory", True))
-        if config.reuse_pool:
-            return shared_process_transport(
-                config.max_workers,
-                config.start_method,
-                supervised=supervised,
-                shared_memory=shared_memory,
-            )
-        if supervised:
-            from ..resilience.supervisor import SupervisedProcessPoolTransport
-            from ..resilience.retry import RetryPolicy
-
-            transport: ProcessPoolTransport = SupervisedProcessPoolTransport(
-                max_workers=config.max_workers,
-                start_method=config.start_method,
-                shared_memory=shared_memory,
-                restart_policy=RetryPolicy(
-                    max_attempts=getattr(config, "max_restarts", 3),
-                    backoff_s=getattr(config, "restart_backoff_s", 0.05),
-                ),
-            )
-        else:
-            transport = ProcessPoolTransport(
-                max_workers=config.max_workers,
-                start_method=config.start_method,
-                shared_memory=shared_memory,
-            )
-        transport.private = True
-        return transport
-    if config.kind == "tcp":
-        # Imported lazily: the cluster package builds on this module (and on
-        # the resilience supervisor), so a top-level import would cycle.
-        from ..cluster.transport import resolve_tcp_transport
-
-        return resolve_tcp_transport(config)
-    raise CommunicationError(f"unknown transport kind {config.kind!r}")
+    return transport_for(config)

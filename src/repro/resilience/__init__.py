@@ -1,19 +1,18 @@
 """Fault tolerance for the fabric, the session layer, and the service.
 
-Four pieces, spanning the stack:
+Three pieces, spanning the stack:
 
 * :mod:`~repro.resilience.faults` — seeded, deterministic fault injection
   (:class:`FaultPlan`) consulted by transports and topologies through the
   per-solve context (``solve_scope(fault_plan=...)``), plus the
   :class:`RecoveryNotes` that report what recovery did.
-* :mod:`~repro.resilience.supervisor` — the supervised
-  :class:`SupervisedProcessPoolTransport`: crash detection, bounded restart
-  with backoff + jitter, journal-replay state re-establishment, and graceful
-  degradation to in-process execution.
 * :mod:`~repro.resilience.retry` — the shared :class:`RetryPolicy`.
 * :mod:`~repro.resilience.circuit` — the per-model :class:`CircuitBreaker`
   behind the service's structured 503s.
 
+Worker crash recovery — the per-session journal, the restart ladder and
+degradation to in-process execution — is part of every out-of-process
+transport: :class:`~repro.fabric.transport.JournaledTransport`.
 Checkpointing (:class:`CheckpointStore`) lives in :mod:`repro.core.budget`
 next to the budget meter and the progress tap, and is re-exported here.
 
@@ -40,17 +39,6 @@ __all__ = [
     "FaultSpec",
     "RecoveryNotes",
     "RetryPolicy",
-    "SupervisedProcessPoolTransport",
     "faulted_delivery",
 ]
 
-
-def __getattr__(name: str):
-    # The supervisor subclasses the fabric's ProcessPoolTransport while the
-    # fabric consults this package's fault plans — importing it lazily keeps
-    # the package import acyclic.
-    if name == "SupervisedProcessPoolTransport":
-        from .supervisor import SupervisedProcessPoolTransport
-
-        return SupervisedProcessPoolTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,10 +16,10 @@ Probe points
 ------------
 
 ``"dispatch"``
-    Consulted by the supervised process transport once per worker per task
+    Consulted by the process and TCP transports once per slot per task
     batch, *before* the batch is shipped.  A matching ``worker_crash`` spec
-    SIGKILLs that worker's process, exercising the real crash-detection and
-    recovery path.
+    SIGKILLs the worker process behind that slot, exercising the real
+    crash-detection and recovery path.
 ``"deliver"``
     Consulted by every transport's ``deliver`` (the measured wire hop).  A
     matching ``message_drop`` / ``message_delay`` / ``payload_corruption``
@@ -248,8 +248,9 @@ def faulted_delivery(
 class RecoveryNotes:
     """What the resilience layer did during one solve.
 
-    The supervised transport increments :attr:`restarts` per worker restart
-    and flips :attr:`degraded` when it falls back to in-process execution;
+    The process and TCP transports increment :attr:`restarts` per worker
+    replacement and flip :attr:`degraded` when they fall back to in-process
+    execution;
     the session folds the notes into the result's
     :attr:`~repro.core.result.ResourceUsage.transport_retries` and metadata
     after the run.

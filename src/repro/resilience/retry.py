@@ -1,9 +1,9 @@
 """Bounded retry with exponential backoff and jitter.
 
-One small policy object shared by every retry site in the resilience layer:
-the supervised transport's worker-restart loop, the service's per-ticket
-retry of retryable :class:`~repro.core.exceptions.TransportFailure`, and the
-HTTP client's idempotent-GET retry.  Jitter is drawn from a caller-supplied
+One small policy object shared by the retry sites above the transports: the
+service's per-ticket retry of retryable
+:class:`~repro.core.exceptions.TransportFailure`, and the HTTP client's
+idempotent-GET retry.  Jitter is drawn from a caller-supplied
 ``random.Random`` so chaos tests stay deterministic from a seed.
 """
 

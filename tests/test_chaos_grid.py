@@ -38,7 +38,7 @@ FAULT_SEEDS = (0, 1)
 #: the topology's per-node probe.
 DELIVERY_KINDS = ("message_drop", "message_delay", "payload_corruption", "slow_node")
 
-SUPERVISED = TransportConfig(kind="process", max_workers=2, supervised=True)
+SUPERVISED = TransportConfig(kind="process", max_workers=2)
 
 
 def _seeded_plan(seed: int, kinds, *, crash: bool = False) -> FaultPlan:

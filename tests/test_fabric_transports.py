@@ -126,26 +126,21 @@ def test_process_transport_is_bit_identical(model, family):
     assert_bit_identical(inproc, process)
 
 
-@pytest.mark.parametrize("supervised", (False, True), ids=("pool", "supervised"))
 @pytest.mark.parametrize("family", PROBLEMS)
-def test_shared_memory_axis_is_bit_identical(family, supervised):
+def test_shared_memory_axis_is_bit_identical(family):
     """Zero-copy shipping must be invisible to results: shm on == shm off ==
-    in-process, on both the bare pool and the supervised pool."""
+    in-process."""
     problem = _build_problem(family)
     inproc = _solve(problem, "coordinator", None)
     shm_on = _solve(
         problem,
         "coordinator",
-        TransportConfig(
-            kind="process", max_workers=2, supervised=supervised, shared_memory=True
-        ),
+        TransportConfig(kind="process", max_workers=2, shared_memory=True),
     )
     shm_off = _solve(
         problem,
         "coordinator",
-        TransportConfig(
-            kind="process", max_workers=2, supervised=supervised, shared_memory=False
-        ),
+        TransportConfig(kind="process", max_workers=2, shared_memory=False),
     )
     assert_bit_identical(inproc, shm_on)
     assert_bit_identical(inproc, shm_off)

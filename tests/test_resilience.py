@@ -278,16 +278,13 @@ class TestCheckpointStore:
 # Supervised transport: crash, restart, degrade, terminal
 # ---------------------------------------------------------------------- #
 
-SUPERVISED = TransportConfig(
-    kind="process", max_workers=2, supervised=True, reuse_pool=False
-)
+SUPERVISED = TransportConfig(kind="process", max_workers=2, reuse_pool=False)
 
 
 def _supervised_session(model: str = "coordinator", **transport_overrides):
     cfg = {
         "kind": "process",
         "max_workers": 2,
-        "supervised": True,
         "reuse_pool": False,
         **transport_overrides,
     }
@@ -559,16 +556,11 @@ class TestTransportConfigResilience:
     def test_supervised_fields_validate(self):
         with pytest.raises(InvalidConfigError):
             TransportConfig(kind="process", max_restarts=-1)
-        with pytest.raises(InvalidConfigError):
-            TransportConfig(kind="process", restart_backoff_s=-0.5)
 
     def test_mapping_coercion(self):
         from repro.api.config import StreamingConfig
 
-        cfg = StreamingConfig(
-            transport={"kind": "process", "supervised": True, "max_workers": 2}
-        )
+        cfg = StreamingConfig(transport={"kind": "process", "max_workers": 2})
         assert isinstance(cfg.transport, TransportConfig)
-        assert cfg.transport.supervised is True
         with pytest.raises(InvalidConfigError, match="TransportConfig"):
             StreamingConfig(transport={"kind": "process", "turbo": True})

@@ -244,9 +244,7 @@ class TestLeakSurface:
             transport.init_shared("s", "problem", problem)
             assert shm.store().segment_names()  # the export is live
             for worker in range(2):
-                process, _ = transport._workers[worker]
-                process.kill()
-                process.join(timeout=5)
+                transport.kill_worker(worker)
         finally:
             transport.close()
         shm.store().release_owner("s")
@@ -263,7 +261,6 @@ class TestLeakSurface:
                 "kind": "process",
                 "max_workers": 2,
                 "reuse_pool": False,
-                "supervised": True,
                 "max_restarts": 0,
             },
             num_sites=3,
@@ -292,7 +289,6 @@ class TestLeakSurface:
                 "kind": "process",
                 "max_workers": 2,
                 "reuse_pool": False,
-                "supervised": True,
                 "shared_memory": True,
             },
             num_sites=3,
