@@ -19,9 +19,11 @@ import pytest
 
 from repro import TransportConfig, solve, solve_many
 from repro.api.config import SolverConfig
+from repro.core.context import solve_scope
 from repro.core.exceptions import InvalidConfigError
 from repro.fabric.transport import InProcessTransport, ProcessPoolTransport
 from repro.problems import MinimumEnclosingBall
+from repro.resilience import FaultPlan, FaultSpec
 from repro.workloads import (
     make_separable_classification,
     random_feasible_lp,
@@ -126,22 +128,31 @@ def test_process_transport_is_bit_identical(model, family):
     assert_bit_identical(inproc, process)
 
 
+@pytest.mark.parametrize("supervised", (False, True), ids=("pool", "supervised"))
 @pytest.mark.parametrize("family", PROBLEMS)
-def test_shared_memory_axis_is_bit_identical(family):
+def test_shared_memory_axis_is_bit_identical(family, supervised):
     """Zero-copy shipping must be invisible to results: shm on == shm off ==
-    in-process."""
+    in-process, on a healthy pool and on a pool whose supervision replaces a
+    worker crashed at the first dispatch."""
     problem = _build_problem(family)
     inproc = _solve(problem, "coordinator", None)
-    shm_on = _solve(
-        problem,
-        "coordinator",
-        TransportConfig(kind="process", max_workers=2, shared_memory=True),
-    )
-    shm_off = _solve(
-        problem,
-        "coordinator",
-        TransportConfig(kind="process", max_workers=2, shared_memory=False),
-    )
+
+    def shipped(shared_memory):
+        plan = FaultPlan([FaultSpec(kind="worker_crash", at=1)]) if supervised else None
+        with solve_scope(fault_plan=plan):
+            result = _solve(
+                problem,
+                "coordinator",
+                TransportConfig(
+                    kind="process", max_workers=2, shared_memory=shared_memory
+                ),
+            )
+        if supervised:
+            assert ("dispatch", 0, "worker_crash") in plan.fired, plan.describe()
+        return result
+
+    shm_on = shipped(True)
+    shm_off = shipped(False)
     assert_bit_identical(inproc, shm_on)
     assert_bit_identical(inproc, shm_off)
 
