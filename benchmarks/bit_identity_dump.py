@@ -19,8 +19,21 @@ Last comes one sequential solve per family at n = 200,000, d = 8 and r = 4
 ``tests/test_kernels.py``), in the grid's line format.  These solves take
 several iterations and boosts over more than one kernel row block, so the
 violation sweep and the Gumbel draw run across block boundaries and on
-boosted weights.  Two checkouts give the same results bit for bit when their
-dumps are identical::
+boosted weights.
+
+After those 72 lines comes one line per theorem-model solve whose whole
+result matters: the sha256 of ``json.dumps(result.to_dict(), sort_keys=True)``
+with ``metadata["kernel_backend"]`` dropped, so every field a result carries
+(metadata, ``per_round`` ledgers, oracle and basis-cache counters, the
+trace, warm-start stats) is compared.  Per family the cells are the four
+facade solves; each theorem model at ``sample_size=n`` (the small-instance
+paths); one ``session.solve`` and three ``resolve_with`` edits per model (an
+addition, a removal, both), which run the warm paths; the coordinator on its
+aggregation tree; MPC on one machine; streaming with a permuted arrival
+order; and streaming, coordinator and MPC on ``TransportConfig(kind="process")``.
+The hashes do not depend on the kernel backend, so the dump run under
+``REPRO_KERNEL_BACKEND=numpy`` and ``fused`` must agree too.  Two checkouts
+give the same results bit for bit when their dumps are identical::
 
     PYTHONPATH=src:. python benchmarks/bit_identity_dump.py > dump.txt
 """
@@ -32,7 +45,7 @@ import json
 
 import numpy as np
 
-from repro import SolverConfig, session, solve
+from repro import SolverConfig, TransportConfig, session, solve
 from repro.api.session import extend_problem
 from repro.server.wire import decode_problem, encode_problem
 from tests.test_api_facade import (
@@ -127,11 +140,60 @@ def _problem_lines(family: str, problem) -> list[str]:
     return lines
 
 
+def _result_digest(result) -> str:
+    payload = result.to_dict()
+    payload["metadata"].pop("kernel_backend", None)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _result_cells(family: str, problem, facade: dict) -> dict:
+    """Every whole-result cell of one family, keyed by cell name."""
+    n = problem.num_constraints
+    cells = {f"{family}/{model}": result for model, result in facade.items()}
+    for model, kwargs in sorted(FACADE_KWARGS.items()):
+        small = dict(FAST, sample_size=n)
+        cells[f"{family}/{model}/sample_size=n"] = solve(
+            problem, model=model, seed=SEED, **small, **kwargs
+        )
+    for model, kwargs in sorted(FACADE_KWARGS.items()):
+        added = ADDED[family](problem)
+        with session(model=model, seed=SEED, **FAST, **kwargs) as sess:
+            cells[f"{family}/{model}/session/solve"] = sess.solve(problem)
+            cells[f"{family}/{model}/session/add"] = sess.resolve_with(added=added)
+            cells[f"{family}/{model}/session/remove"] = sess.resolve_with(
+                removed=[0, 2, 7]
+            )
+            cells[f"{family}/{model}/session/edit"] = sess.resolve_with(
+                added=added, removed=[1, 3]
+            )
+    cells[f"{family}/coordinator/tree"] = solve(
+        problem, model="coordinator", seed=SEED, **FAST,
+        **FACADE_KWARGS["coordinator"], topology="tree",
+    )
+    cells[f"{family}/mpc/num_machines=1"] = solve(
+        problem, model="mpc", seed=SEED, **FAST, **FACADE_KWARGS["mpc"],
+        num_machines=1,
+    )
+    order = np.random.default_rng(SEED).permutation(n)
+    cells[f"{family}/streaming/order"] = solve(
+        problem, model="streaming", seed=SEED, **FAST,
+        **FACADE_KWARGS["streaming"], order=order,
+    )
+    for model in ("streaming", "coordinator", "mpc"):
+        cells[f"{family}/{model}/process"] = solve(
+            problem, model=model, seed=SEED, **FAST, **FACADE_KWARGS[model],
+            transport=TransportConfig(kind="process"),
+        )
+    return cells
+
+
 def main() -> None:
+    facade: dict = {}
     for family, make in sorted(PROBLEMS.items()):
         problem = make()
         for model, kwargs in sorted(FACADE_KWARGS.items()):
             result = solve(problem, model=model, seed=SEED, **FAST, **kwargs)
+            facade.setdefault(family, {})[model] = result
             print(_line(f"{family}/{model}", result))
         for cell, kwargs in BASELINES.items():
             result = solve(problem, model=cell.split("/")[0], **kwargs)
@@ -144,6 +206,9 @@ def main() -> None:
         config = SolverConfig.practical(problem, r=LARGE_R, seed=0)
         result = solve(problem, model="sequential", config=config)
         print(_line(f"{family}/sequential/n={LARGE_N}", result))
+    for family, make in sorted(PROBLEMS.items()):
+        for cell, result in _result_cells(family, make(), facade[family]).items():
+            print(f"{cell} {_result_digest(result)}")
 
 
 if __name__ == "__main__":

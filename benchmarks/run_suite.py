@@ -871,8 +871,11 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "scenarios": scenarios,
-        "geomean_wall_time_s": round(
-            geomean([s["wall_time_s"] for s in scenarios]), 6
+        # A transport-only run solves nothing: no geomean to report.
+        "geomean_wall_time_s": (
+            round(geomean([s["wall_time_s"] for s in scenarios]), 6)
+            if scenarios
+            else None
         ),
         "total_comm_bits": sum(s["total_comm_bits"] for s in scenarios),
     }
@@ -904,7 +907,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    print(f"geomean wall time: {report['geomean_wall_time_s']:.4f}s -> {args.output}")
+    summary = (
+        f"geomean wall time: {report['geomean_wall_time_s']:.4f}s"
+        if scenarios
+        else "no solve scenario ran"
+    )
+    print(f"{summary} -> {args.output}")
 
     if args.min_transport_speedup is not None:
         transport = report.get("transport_bench") or {}

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import _clarkson_solve, solve_small_problem
+from ..core.clarkson import SequentialModel, run_clarkson, solve_small_problem
 from ..core.lptype import LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
 from ..core.rng import SeedLike
@@ -120,7 +120,7 @@ def clarkson_classic_reweighting(
     config = SolverConfig(
         r=r, seed=rng, boost=2.0, sample_scale=sample_scale, max_iterations=4000
     )
-    result = _clarkson_solve(problem, config)
+    result = run_clarkson(problem, config, model=SequentialModel)
     result.metadata["algorithm"] = "clarkson_classic_reweighting"
     return result
 
@@ -195,6 +195,6 @@ def _run_classic(problem: LPTypeProblem, config: SolverConfig) -> SolveResult:
     # Unless the config sets one, the factor-2 boost needs a far larger
     # iteration budget than the Lemma 3.3 one the engine would derive.
     config = replace(config, boost=2.0, max_iterations=config.max_iterations or 4000)
-    result = _clarkson_solve(problem, config)
+    result = run_clarkson(problem, config, model=SequentialModel)
     result.metadata["algorithm"] = "clarkson_classic_reweighting"
     return result

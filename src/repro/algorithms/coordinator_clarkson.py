@@ -31,39 +31,28 @@ bit-identical results either way.
 On the star this uses ``3`` rounds per iteration (a constant factor over the
 idealised accounting, recorded in EXPERIMENTS.md) and
 ``O~(lambda * nu * n^{1/r} + k)`` constraints of communication per run,
-matching Theorem 2.  The iteration loop itself lives in
-:class:`repro.core.engine.ClarksonEngine`; rounds 1-2 happen inside the
-sampling strategy, round 3 inside the weight substrate.
+matching Theorem 2.  The run itself (sample size, boost, the direct solve
+of small instances, the engine loop, the result) is
+:func:`repro.core.clarkson.run_clarkson`; this module provides the site
+tasks and :class:`CoordinatorModel`, whose ``draw`` holds rounds 1-2 and
+whose ``measure`` holds round 3.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import (
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
-from ..core.engine import (
-    ClarksonEngine,
-    EngineConfig,
-    SamplingStrategy,
-    ViolationOracle,
-    ViolationStats,
-    WeightSubstrate,
-    iteration_budget,
-)
+from ..core.clarkson import ClarksonModel, run_clarkson
+from ..core.engine import ViolationStats
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
-from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import as_generator, spawn
+from ..core.rng import spawn
 from ..core.sampling import multinomial_split, weighted_sample_without_replacement
-from ..core.weights import ExplicitWeights, boost_factor
+from ..core.weights import ExplicitWeights
 from ..fabric.payload import (
     BasisPayload,
     ConstraintBlock,
@@ -147,49 +136,70 @@ def _site_ship_all(state: dict) -> tuple[dict, ConstraintBlock]:
     return state, ConstraintBlock(indices=idx, rows=constraint_rows(state["problem"], idx))
 
 
-class _CoordinatorState:
-    """Coordinator-side run state: the topology plus the protocol flags."""
+class CoordinatorModel(ClarksonModel):
+    """The coordinator's run: per-site explicit weights, three exchanges per iteration.
+
+    ``draw`` is rounds 1-2 (weight totals, then a Lemma 3.7 split and the
+    local samples), ``measure`` is round 3 (basis broadcast plus violation
+    statistics), and ``boost`` only flags the success, which the sites
+    apply in the next weight round.  ``resources.rounds`` and the
+    communication currencies carry the coordinator costs, and
+    ``result.communication`` the per-round trace.  A warm re-solve seeds
+    the per-site weight vectors from the prior run's bases; that run
+    already broadcast them to every site, so it costs no communication.  A
+    direct solve costs one exchange in which every site ships its share.
+    """
+
+    name = "coordinator Clarkson"
+    algorithm = direct_algorithm = "coordinator_clarkson"
+    run_metadata = (
+        "algorithm", "r", "k", "epsilon", "sample_size", "boost", "topology",
+        "transport", "kernel_backend",
+    )
+    direct_metadata = ("algorithm", "r", "k", "topology", "transport", "kernel_backend")
+    direct_installs = True
 
     def __init__(
-        self,
-        problem: LPTypeProblem,
-        topology: StarTopology | TreeTopology,
-        oracle: ViolationOracle,
-        gen: np.random.Generator,
-        kernel_backend: str | None = None,
+        self, problem: LPTypeProblem, config: CoordinatorConfig, warm_witnesses
     ) -> None:
-        self.problem = problem
-        self.topology = topology
-        self.oracle = oracle
-        self.gen = gen
-        self.kernel_backend = kernel_backend
-        self.num_sites = topology.num_sites
-        self.site_sizes: list[int] = []
+        super().__init__(problem, config, warm_witnesses)
+        partition = config.partition
+        if partition is None:
+            partition = partition_indices(
+                problem.num_constraints, config.num_sites, method="round_robin"
+            )
+        self.partition = [np.asarray(local, dtype=int) for local in partition]
+        self.site_sizes = [int(local.size) for local in self.partition]
+        # CoordinatorConfig has validated the topology: "star" or "tree".
+        transport = resolve_transport(config.transport)
+        cost_model = config.cost_model or BitCostModel()
+        if config.topology == "tree":
+            self.topology = TreeTopology(
+                len(self.partition), fanout=config.fanout, transport=transport,
+                cost_model=cost_model,
+            )
+        else:
+            self.topology = StarTopology(
+                len(self.partition), transport=transport, cost_model=cost_model
+            )
         # Whether the previous iteration succeeded (sites then apply the
         # boost they remembered during the last violation round).
         self.pending_boost = False
 
-    def install_sites(
-        self,
-        partition: Sequence[np.ndarray],
-        boost: float,
-        warm_exponents: np.ndarray | None = None,
-    ) -> None:
-        site_rngs = spawn(self.gen, self.num_sites)
+    def install(self, boost: float, backend: str) -> None:
+        # In a real deployment each site would evaluate the warm witnesses
+        # on its own slice, against the bases it holds from the prior run.
+        exponents = self.warm_exponents()
+        site_rngs = spawn(self.rng, len(self.partition))
         # Ship the (large, read-only) problem once per transport worker; the
         # per-site states hold a reference, not a copy.
         self.topology.share("problem", self.problem)
-        for site_id, local in enumerate(partition):
-            local = np.asarray(local, dtype=int)
-            self.site_sizes.append(int(local.size))
-            if warm_exponents is not None and local.size:
-                # Warm re-solve (session API): each site resumes the weight
-                # state its constraints carried at the end of the prior run
-                # (boost ** #violated-prior-bases, Section 3.2 applied to
-                # the explicit per-site vectors).
-                weights = ExplicitWeights.from_exponents(
-                    warm_exponents[local], boost
-                )
+        for site_id, local in enumerate(self.partition):
+            if exponents is not None and local.size:
+                # Each site resumes the weight state its constraints carried
+                # at the end of the prior run (boost ** #violated-prior-bases,
+                # Section 3.2 applied to the explicit per-site vectors).
+                weights = ExplicitWeights.from_exponents(exponents[local], boost)
             else:
                 weights = ExplicitWeights.uniform(max(1, local.size), boost)
             self.topology.init_state(
@@ -200,24 +210,25 @@ class _CoordinatorState:
                     "weights": weights,
                     "rng": site_rngs[site_id],
                     "pending": None,
-                    "kernel": self.kernel_backend,
+                    "kernel": backend,
                 },
             )
 
-
-class MultinomialSplitSampling(SamplingStrategy):
-    """Rounds 1-2 of an iteration: weight totals, then a Lemma 3.7 split."""
-
-    def __init__(self, state: _CoordinatorState) -> None:
-        self.state = state
+    def pay_direct(self) -> None:
+        # Cheaper to ship everything to the coordinator in one exchange.
+        topology = self.topology
+        topology.begin_round()
+        topology.broadcast_down(Flag("send-all", 1))
+        blocks = topology.run_all(_site_ship_all, [()] * topology.num_sites)
+        topology.gather_up(blocks)
+        topology.end_round()
 
     def draw(self, sample_size: int) -> np.ndarray:
-        state = self.state
-        topology = state.topology
-        k = state.num_sites
+        topology = self.topology
+        k = topology.num_sites
 
         # ---------------- round 1: weight totals (and weight update) ---------------- #
-        flag = 1 if state.pending_boost else 0
+        flag = 1 if self.pending_boost else 0
         topology.begin_round()
         topology.broadcast_down(Flag("update?", flag))
         totals = topology.run_all(_site_weight_round, [(flag,)] * k)
@@ -228,13 +239,13 @@ class MultinomialSplitSampling(SamplingStrategy):
             [Scalar(t) for t in totals], combinable=False
         )
         topology.end_round()
-        state.pending_boost = False
+        self.pending_boost = False
         totals = np.asarray([p.value for p in delivered], dtype=float)
 
         # ---------------- round 2: multinomial split and local sampling ---------------- #
         if totals.sum() <= 0:
             raise IterationLimitError("all site weights vanished; invalid state")
-        counts = multinomial_split(totals, sample_size, rng=state.gen)
+        counts = multinomial_split(totals, sample_size, rng=self.rng)
         topology.begin_round()
         topology.scatter_down([Count(int(c)) for c in counts])
         blocks = topology.run_all(
@@ -242,23 +253,11 @@ class MultinomialSplitSampling(SamplingStrategy):
         )
         delivered_blocks = topology.gather_up(blocks)
         topology.end_round()
-        sampled: set[int] = set()
-        for block in delivered_blocks:
-            sampled.update(int(i) for i in block.indices)
-        return np.asarray(sorted(sampled), dtype=int)
-
-
-class PartitionedWeightSubstrate(WeightSubstrate):
-    """Round 3 of an iteration: basis broadcast plus violation statistics."""
-
-    def __init__(self, state: _CoordinatorState) -> None:
-        self.state = state
+        return np.unique(np.concatenate([block.indices for block in delivered_blocks]))
 
     def measure(self, sample: np.ndarray, basis: BasisResult) -> ViolationStats:
-        state = self.state
-        topology = state.topology
-        problem = state.problem
-        k = state.num_sites
+        topology = self.topology
+        problem = self.problem
 
         basis_idx = np.asarray(basis.indices, dtype=int)
         payload = BasisPayload(
@@ -268,13 +267,15 @@ class PartitionedWeightSubstrate(WeightSubstrate):
         )
         topology.begin_round()
         topology.broadcast_down(payload)
-        stats = topology.run_all(_site_violation_round, [(basis.witness,)] * k)
+        stats = topology.run_all(
+            _site_violation_round, [(basis.witness,)] * topology.num_sites
+        )
         delivered = topology.gather_up(
             [StatsBlock(np.asarray(s, dtype=float)) for s in stats], combinable=True
         )
         topology.end_round()
-        state.oracle.record_external(
-            sum(1 for size in state.site_sizes if size), sum(state.site_sizes)
+        self.oracle.record_external(
+            sum(1 for size in self.site_sizes if size), sum(self.site_sizes)
         )
 
         violator_weight = sum(float(p.values[0]) for p in delivered)
@@ -288,150 +289,19 @@ class PartitionedWeightSubstrate(WeightSubstrate):
     def boost(self, stats: ViolationStats) -> None:
         # The boost is applied by the sites during the next weight round,
         # from the violator positions they remembered locally.
-        self.state.pending_boost = True
+        self.pending_boost = True
 
-
-def _build_topology(
-    num_sites: int, config: CoordinatorConfig, cost_model: BitCostModel
-) -> StarTopology | TreeTopology:
-    # CoordinatorConfig has validated the topology: "star" or "tree".
-    transport = resolve_transport(config.transport)
-    if config.topology == "tree":
-        return TreeTopology(
-            num_sites, fanout=config.fanout, transport=transport, cost_model=cost_model
-        )
-    return StarTopology(num_sites, transport=transport, cost_model=cost_model)
-
-
-def _coordinator_clarkson_solve(
-    problem: LPTypeProblem,
-    config: CoordinatorConfig,
-    warm_witnesses: list | None = None,
-) -> SolveResult:
-    """The coordinator driver behind ``repro.solve(problem, model="coordinator")``.
-
-    Registered as the model's runner and warm runner;
-    ``resources.rounds`` and ``resources.total_communication_bits`` carry
-    the coordinator-model costs and ``result.communication`` the per-round
-    trace.  ``warm_witnesses`` (session API) seeds the per-site weight
-    vectors from a prior run's successful-iteration bases; the prior run
-    already broadcast those bases to every site, so re-deriving the local
-    weights costs no additional communication.
-    """
-    gen = as_generator(config.seed)
-    n = problem.num_constraints
-    cost_model = config.cost_model or BitCostModel()
-    partition = config.partition
-    if partition is None:
-        partition = partition_indices(n, config.num_sites, method="round_robin")
-    net = _build_topology(len(partition), config, cost_model)
-
-    sample_size, epsilon = resolve_sampling(problem, config)
-    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
-    backend = kernels.resolve_backend_name(config.kernel_backend)
-
-    state = _CoordinatorState(
-        problem=problem,
-        topology=net,
-        oracle=ViolationOracle(problem),
-        gen=gen,
-        kernel_backend=backend,
-    )
-    warm_exponents = None
-    if warm_witnesses:
-        # One vectorised sweep recovers the carried weight state; in a real
-        # deployment each site would evaluate its own slice against the
-        # bases it already holds from the prior run's broadcasts.
-        with kernels.use_backend(backend):
-            warm_exponents = state.oracle.count_matrix(
-                warm_witnesses, problem.all_indices()
-            )
-    try:
-        state.install_sites(partition, boost, warm_exponents=warm_exponents)
-
-        if sample_size >= n:
-            # Cheaper to ship everything to the coordinator in one exchange.
-            net.begin_round()
-            net.broadcast_down(Flag("send-all", 1))
-            blocks = net.run_all(_site_ship_all, [()] * net.num_sites)
-            net.gather_up(blocks)
-            net.end_round()
-            with kernels.use_backend(backend):
-                result = solve_small_problem(problem)
-            result.resources.rounds = net.rounds
-            result.resources.total_communication_bits = net.total_bits
-            result.resources.max_message_bits = net.max_message_bits
-            result.resources.max_machine_load_bits = net.max_load_bits
-            result.resources.machine_count = net.num_sites
-            result.resources.per_round = net.ledger.as_table()
-            result.metadata.update(
-                {
-                    "algorithm": "coordinator_clarkson",
-                    "r": config.r,
-                    "k": net.num_sites,
-                    "topology": config.topology,
-                    "transport": net.transport.name,
-                    "kernel_backend": backend,
-                }
-            )
-            result.warm = _warm_stats(warm_witnesses, [])
-            return result
-
-        engine = ClarksonEngine(
-            problem=problem,
-            sampler=MultinomialSplitSampling(state),
-            substrate=PartitionedWeightSubstrate(state),
-            config=EngineConfig(
-                sample_size=sample_size,
-                epsilon=epsilon,
-                budget=iteration_budget(problem, config.r, config.max_iterations),
-                keep_trace=config.keep_trace,
-                name="coordinator Clarkson",
-                basis_cache=config.basis_cache,
-            ),
-        )
-        with kernels.use_backend(backend):
-            outcome = engine.run()
-    finally:
-        net.close()
-
-    resources = ResourceUsage(
-        rounds=net.rounds,
-        total_communication_bits=net.total_bits,
-        max_message_bits=net.max_message_bits,
-        max_machine_load_bits=net.max_load_bits,
-        machine_count=net.num_sites,
-        oracle_calls=state.oracle.calls,
-        basis_cache_hits=outcome.cache_hits,
-        basis_cache_misses=outcome.cache_misses,
-        per_round=net.ledger.as_table(),
-    )
-    return SolveResult(
-        value=outcome.basis.value,
-        witness=outcome.basis.witness,
-        basis_indices=outcome.basis.indices,
-        iterations=outcome.iterations,
-        successful_iterations=outcome.successful_iterations,
-        resources=resources,
-        trace=outcome.trace,
-        metadata={
-            "algorithm": "coordinator_clarkson",
-            "r": config.r,
-            "k": net.num_sites,
-            "epsilon": epsilon,
-            "sample_size": sample_size,
-            "boost": boost,
-            "topology": config.topology,
-            "transport": net.transport.name,
-            "kernel_backend": backend,
-        },
-        warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
-    )
+    def metadata(self) -> dict:
+        return {
+            **super().metadata(),
+            "k": self.topology.num_sites,
+            "topology": self.config.topology,
+        }
 
 
 register_model(
     "coordinator",
-    _coordinator_clarkson_solve,
+    partial(run_clarkson, model=CoordinatorModel),
     config_cls=CoordinatorConfig,
     description=(
         "Coordinator-model Clarkson (Theorem 2): per-site explicit weights, "
@@ -446,6 +316,5 @@ register_model(
         "machine_count",
     ),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_coordinator_clarkson_solve,
-    capabilities=("warm_restart", "ingest"),
+    warm_restart=True,
 )

@@ -30,41 +30,30 @@ With ``r = ceil(1/delta)`` iterations of Algorithm 1 behaving as in the
 coordinator model, the total round count is ``O(nu / delta^2)`` and the
 per-machine load is ``O~(lambda * nu^2 * n^delta)`` bits, matching Theorem 3.
 
-The iteration loop itself lives in :class:`repro.core.engine.ClarksonEngine`;
-the aggregation/sampling trees run inside the sampling strategy, the
-basis-broadcast and statistics trees inside the weight substrate.
+The run itself (sample size, boost, the direct solve of small instances,
+the engine loop, the result) is :func:`repro.core.clarkson.run_clarkson`;
+this module provides the machine tasks and :class:`MPCModel`, whose
+``draw`` holds the aggregation and sampling rounds and whose ``measure``
+holds the basis-broadcast and statistics trees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import (
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
-from ..core.engine import (
-    ClarksonEngine,
-    EngineConfig,
-    SamplingStrategy,
-    ViolationOracle,
-    ViolationStats,
-    WeightSubstrate,
-    iteration_budget,
-)
+from ..core.clarkson import ClarksonModel, run_clarkson
+from ..core.engine import ViolationStats
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
-from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import as_generator, spawn
+from ..core.rng import spawn
 from ..core.sampling import gumbel_top_k
-from ..core.weights import boost_factor
 from ..fabric.payload import (
     BasisPayload,
     ConstraintBlock,
@@ -170,54 +159,80 @@ def _machine_store_witness(state: dict, witness) -> tuple[dict, None]:
     return state, None
 
 
-class _MPCState:
-    """Coordinator-side run state shared between the MPC sampler and substrate."""
+class MPCModel(ClarksonModel):
+    """The MPC run: implicit stored-bases weights, trees for every collective.
+
+    ``draw`` runs the weight aggregation tree plus the direct-to-coordinator
+    sampling round, ``measure`` the basis broadcast and the statistics
+    aggregation tree, and ``boost`` stores the witness on every machine.
+    ``resources.rounds`` and ``max_machine_load_bits`` carry the MPC costs
+    and ``result.communication`` the per-round trace.  The model fixes
+    ``r = ceil(1/delta)`` and ignores ``config.r``.  A direct solve
+    aggregates the largest machine's constraints once; on one machine every
+    instance is solved directly.
+    """
+
+    name = "MPC Clarkson"
+    algorithm = direct_algorithm = "mpc_clarkson"
+    run_metadata = (
+        "algorithm", "delta", "r", "k", "epsilon", "sample_size", "boost",
+        "fanout", "transport", "kernel_backend",
+    )
+    direct_metadata = ("algorithm", "delta", "k", "transport", "kernel_backend")
+    direct_installs = True
 
     def __init__(
-        self,
-        problem: LPTypeProblem,
-        topology: GridTopology,
-        oracle: ViolationOracle,
-        boost: float,
-        fanout: int,
-        gen: np.random.Generator,
-        warm_witnesses: Sequence | None = None,
-        kernel_backend: str | None = None,
+        self, problem: LPTypeProblem, config: MPCConfig, warm_witnesses
     ) -> None:
-        self.problem = problem
-        self.topology = topology
-        self.oracle = oracle
-        self.boost = boost
-        self.fanout = fanout
-        self.gen = gen
-        self.kernel_backend = kernel_backend
-        self.machine_sizes: list[int] = []
+        delta = config.delta
+        config = replace(config, r=max(1, int(math.ceil(1.0 / delta))))
+        super().__init__(problem, config, warm_witnesses)
+        n = problem.num_constraints
+        partition = config.partition
+        if partition is None:
+            k = config.num_machines or machines_for_load(n, delta)
+            partition = partition_indices(n, k, method="round_robin")
+        self.partition = [np.asarray(local, dtype=int) for local in partition]
+        self.machine_sizes = [int(local.size) for local in self.partition]
+        self.topology = GridTopology(
+            len(self.partition),
+            transport=resolve_transport(config.transport),
+            cost_model=config.cost_model or BitCostModel(),
+        )
+        self.fanout = max(2, int(math.ceil(n ** delta)))
+        self.always_direct = self.topology.num_machines == 1
         self.total_weight = 0.0
         # Warm re-solves (session API) seed every machine's stored bases
         # with the prior run's successful-iteration witnesses; the prior run
         # broadcast them machine-wide already, so the carry costs no rounds.
-        self.warm_witnesses = list(warm_witnesses) if warm_witnesses else []
-        self.num_bases = len(self.warm_witnesses)
+        self.num_bases = len(self.warm)
         self._counted_version = -1
 
-    def install_machines(self, partition: Sequence[np.ndarray]) -> None:
-        machine_rngs = spawn(self.gen, self.topology.num_machines)
+    def install(self, boost: float, backend: str) -> None:
+        machine_rngs = spawn(self.rng, self.topology.num_machines)
         # One shipped copy of the problem per transport worker, not per machine.
         self.topology.share("problem", self.problem)
-        for machine_id, local in enumerate(partition):
-            local = np.asarray(local, dtype=int)
-            self.machine_sizes.append(int(local.size))
+        for machine_id, local in enumerate(self.partition):
             self.topology.init_state(
                 machine_id,
                 {
                     "problem": SharedRef("problem"),
                     "local_indices": local,
                     "rng": machine_rngs[machine_id],
-                    "witnesses": list(self.warm_witnesses),
-                    "boost": self.boost,
+                    "witnesses": list(self.warm),
+                    "boost": boost,
                     "weights_version": -1,
-                    "kernel": self.kernel_backend,
+                    "kernel": backend,
                 },
+            )
+
+    def pay_direct(self) -> None:
+        # Everything fits on the coordinator: aggregate the constraints once.
+        if self.topology.num_machines > 1:
+            largest = max(self.partition, key=len)
+            rows = constraint_rows(self.problem, largest)
+            self.topology.aggregate_tree(
+                _COORDINATOR, ConstraintBlock(indices=largest, rows=rows), self.fanout
             )
 
     def note_weight_sweep(self) -> None:
@@ -229,60 +244,43 @@ class _MPCState:
             )
             self._counted_version = self.num_bases
 
-
-class TreeRoundSampling(SamplingStrategy):
-    """Weight aggregation tree plus the direct-to-coordinator sampling round."""
-
-    def __init__(self, state: _MPCState) -> None:
-        self.state = state
-
     def draw(self, sample_size: int) -> np.ndarray:
-        state = self.state
-        topology = state.topology
+        topology = self.topology
         k = topology.num_machines
 
         # -------- total weight via an aggregation tree -------- #
-        state.note_weight_sweep()
+        self.note_weight_sweep()
         machine_totals = topology.run_all(_machine_weight_total, [()] * k)
         _, total_weight = topology.aggregate_tree(
             _COORDINATOR,
             Scalar(0.0),
-            state.fanout,
+            self.fanout,
             values=machine_totals,
             combine=lambda a, b: (a or 0.0) + (b or 0.0),
         )
         total_weight = float(total_weight)
         if total_weight <= 0:
             raise IterationLimitError("all machine weights vanished; invalid state")
-        state.total_weight = total_weight
+        self.total_weight = total_weight
 
         # -------- local sampling, shipped to the coordinator -------- #
         topology.begin_round()
         blocks = topology.run_all(
             _machine_sample, [(sample_size, total_weight)] * k
         )
-        sampled: set[int] = set()
-        for machine_id, block in enumerate(blocks):
-            if block is None:
-                continue
-            if machine_id != _COORDINATOR:
-                block = topology.send(machine_id, _COORDINATOR, block)
-            sampled.update(int(i) for i in block.indices)
+        shipped = [
+            block if machine_id == _COORDINATOR
+            else topology.send(machine_id, _COORDINATOR, block)
+            for machine_id, block in enumerate(blocks)
+            if block is not None
+        ]
         topology.end_round()
-        return np.asarray(sorted(sampled), dtype=int)
-
-
-class TreeImplicitSubstrate(WeightSubstrate):
-    """Basis broadcast plus violation-statistics aggregation, both via trees."""
-
-    def __init__(self, state: _MPCState) -> None:
-        self.state = state
+        indices = [np.empty(0, dtype=int)] + [block.indices for block in shipped]
+        return np.unique(np.concatenate(indices))
 
     def measure(self, sample: np.ndarray, basis: BasisResult) -> ViolationStats:
-        state = self.state
-        topology = state.topology
-        k = topology.num_machines
-        problem = state.problem
+        topology = self.topology
+        problem = self.problem
 
         # -------- broadcast the basis through the tree -------- #
         basis_idx = np.asarray(basis.indices, dtype=int)
@@ -291,17 +289,19 @@ class TreeImplicitSubstrate(WeightSubstrate):
             rows=constraint_rows(problem, basis_idx),
             witness=encode_witness_vector(problem, basis.witness),
         )
-        topology.broadcast_tree(_COORDINATOR, payload, state.fanout)
+        topology.broadcast_tree(_COORDINATOR, payload, self.fanout)
 
         # -------- violation statistics via an aggregation tree -------- #
-        per_machine_stats = topology.run_all(_machine_stats, [(basis.witness,)] * k)
-        state.oracle.record_external(
-            sum(1 for size in state.machine_sizes if size), sum(state.machine_sizes)
+        per_machine_stats = topology.run_all(
+            _machine_stats, [(basis.witness,)] * topology.num_machines
+        )
+        self.oracle.record_external(
+            sum(1 for size in self.machine_sizes if size), sum(self.machine_sizes)
         )
         _, aggregate = topology.aggregate_tree(
             _COORDINATOR,
             StatsBlock(np.zeros(2)),
-            state.fanout,
+            self.fanout,
             values=per_machine_stats,
             combine=lambda a, b: (
                 (a or (0.0, 0))[0] + (b or (0.0, 0))[0],
@@ -310,7 +310,7 @@ class TreeImplicitSubstrate(WeightSubstrate):
         )
         violator_weight, violator_count = aggregate
         fraction = (
-            violator_weight / state.total_weight if state.total_weight > 0 else 0.0
+            violator_weight / self.total_weight if self.total_weight > 0 else 0.0
         )
         return ViolationStats(
             num_violators=int(violator_count),
@@ -319,156 +319,28 @@ class TreeImplicitSubstrate(WeightSubstrate):
         )
 
     def boost(self, stats: ViolationStats) -> None:
-        state = self.state
-        topology = state.topology
+        topology = self.topology
         # The success flag rides along with the next basis broadcast; a
         # dedicated one-counter broadcast keeps the accounting explicit.  The
         # machines extend their stored bases with the witness they received.
         topology.run_all(
             _machine_store_witness, [(stats.context,)] * topology.num_machines
         )
-        state.num_bases += 1
-        topology.broadcast_tree(_COORDINATOR, Flag("success", 1), state.fanout)
+        self.num_bases += 1
+        topology.broadcast_tree(_COORDINATOR, Flag("success", 1), self.fanout)
 
-
-def _mpc_clarkson_solve(
-    problem: LPTypeProblem,
-    config: MPCConfig,
-    warm_witnesses: list | None = None,
-) -> SolveResult:
-    """The MPC driver behind ``repro.solve(problem, model="mpc")``.
-
-    Registered as the model's runner and warm runner; ``resources.rounds``
-    and ``resources.max_machine_load_bits`` carry the MPC costs and
-    ``result.communication`` the per-round trace.  The model fixes
-    ``r = ceil(1/delta)`` and ignores ``config.r``.  ``warm_witnesses``
-    (session API) seeds every machine's implicit stored-bases weights with a
-    prior run's successful-iteration witnesses.
-    """
-    delta = config.delta
-    config = replace(config, r=max(1, int(math.ceil(1.0 / delta))))
-    gen = as_generator(config.seed)
-    n = problem.num_constraints
-    cost_model = config.cost_model or BitCostModel()
-
-    k = config.num_machines or machines_for_load(n, delta)
-    partition = config.partition
-    if partition is None:
-        partition = partition_indices(n, k, method="round_robin")
-    topology = GridTopology(
-        len(partition),
-        transport=resolve_transport(config.transport),
-        cost_model=cost_model,
-    )
-    fanout = max(2, int(math.ceil(n ** delta)))
-
-    sample_size, epsilon = resolve_sampling(problem, config)
-    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
-    backend = kernels.resolve_backend_name(config.kernel_backend)
-
-    state = _MPCState(
-        problem=problem,
-        topology=topology,
-        oracle=ViolationOracle(problem),
-        boost=boost,
-        fanout=fanout,
-        gen=gen,
-        warm_witnesses=warm_witnesses,
-        kernel_backend=backend,
-    )
-    try:
-        state.install_machines(partition)
-
-        if sample_size >= n or topology.num_machines == 1:
-            # Everything fits on the coordinator: aggregate the constraints once.
-            if topology.num_machines > 1:
-                largest = max(
-                    (m for m in partition), key=lambda m: np.asarray(m).size
-                )
-                largest = np.asarray(largest, dtype=int)
-                topology.aggregate_tree(
-                    _COORDINATOR,
-                    ConstraintBlock(
-                        indices=largest, rows=constraint_rows(problem, largest)
-                    ),
-                    fanout,
-                )
-            with kernels.use_backend(backend):
-                result = solve_small_problem(problem)
-            result.resources.rounds = topology.rounds
-            result.resources.max_machine_load_bits = topology.max_load_bits
-            result.resources.total_communication_bits = topology.total_bits
-            result.resources.max_message_bits = topology.max_message_bits
-            result.resources.machine_count = topology.num_machines
-            result.resources.per_round = topology.ledger.as_table()
-            result.metadata.update(
-                {
-                    "algorithm": "mpc_clarkson",
-                    "delta": delta,
-                    "k": topology.num_machines,
-                    "transport": topology.transport.name,
-                    "kernel_backend": backend,
-                }
-            )
-            result.warm = _warm_stats(warm_witnesses, [])
-            return result
-
-        engine = ClarksonEngine(
-            problem=problem,
-            sampler=TreeRoundSampling(state),
-            substrate=TreeImplicitSubstrate(state),
-            config=EngineConfig(
-                sample_size=sample_size,
-                epsilon=epsilon,
-                budget=iteration_budget(problem, config.r, config.max_iterations),
-                keep_trace=config.keep_trace,
-                name="MPC Clarkson",
-                basis_cache=config.basis_cache,
-            ),
-        )
-        with kernels.use_backend(backend):
-            outcome = engine.run()
-    finally:
-        topology.close()
-
-    resources = ResourceUsage(
-        rounds=topology.rounds,
-        max_machine_load_bits=topology.max_load_bits,
-        total_communication_bits=topology.total_bits,
-        max_message_bits=topology.max_message_bits,
-        machine_count=topology.num_machines,
-        oracle_calls=state.oracle.calls,
-        basis_cache_hits=outcome.cache_hits,
-        basis_cache_misses=outcome.cache_misses,
-        per_round=topology.ledger.as_table(),
-    )
-    return SolveResult(
-        value=outcome.basis.value,
-        witness=outcome.basis.witness,
-        basis_indices=outcome.basis.indices,
-        iterations=outcome.iterations,
-        successful_iterations=outcome.successful_iterations,
-        resources=resources,
-        trace=outcome.trace,
-        metadata={
-            "algorithm": "mpc_clarkson",
-            "delta": delta,
-            "r": config.r,
-            "k": topology.num_machines,
-            "epsilon": epsilon,
-            "sample_size": sample_size,
-            "boost": boost,
-            "fanout": fanout,
-            "transport": topology.transport.name,
-            "kernel_backend": backend,
-        },
-        warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
-    )
+    def metadata(self) -> dict:
+        return {
+            **super().metadata(),
+            "delta": self.config.delta,
+            "k": self.topology.num_machines,
+            "fanout": self.fanout,
+        }
 
 
 register_model(
     "mpc",
-    _mpc_clarkson_solve,
+    partial(run_clarkson, model=MPCModel),
     config_cls=MPCConfig,
     description=(
         "MPC Clarkson (Theorem 3): implicit weights with tree "
@@ -482,6 +354,5 @@ register_model(
         "machine_count",
     ),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_mpc_clarkson_solve,
-    capabilities=("warm_restart", "ingest"),
+    warm_restart=True,
 )

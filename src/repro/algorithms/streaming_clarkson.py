@@ -37,38 +37,26 @@ EXPERIMENTS.md — for a total of ``O(nu * r)`` passes.  The peak memory is the
 reservoir plus the stored bases: ``O~(lambda * nu * n^{1/r} + nu^2 * r)``
 constraints, matching Theorem 1.
 
-The iteration loop itself (sample -> solve -> success test -> reweight ->
-terminate) lives in :class:`repro.core.engine.ClarksonEngine`; this module
-only provides the streaming substrate binding.
+The run itself (sample size, boost, the direct solve of small instances,
+the engine loop, the result) is :func:`repro.core.clarkson.run_clarkson`;
+this module only provides the reader's node tasks and
+:class:`StreamingModel`, the streaming binding handed to that run.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import StreamingMemory
-from ..core.clarkson import (
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
-from ..core.engine import (
-    ClarksonEngine,
-    EngineConfig,
-    SamplingStrategy,
-    ViolationOracle,
-    ViolationStats,
-    WeightSubstrate,
-    iteration_budget,
-)
+from ..core.clarkson import ClarksonModel, run_clarkson
+from ..core.engine import ViolationStats
 from ..core.lptype import BasisResult, LPTypeProblem
-from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import as_generator
+from ..core.result import ResourceUsage
 from ..core.sampling import exponential_keys
-from ..core.weights import boost_factor
 from ..fabric.topology import StreamTopology
 from ..fabric.transport import SharedRef, resolve_transport
 from ..api.config import StreamingConfig
@@ -152,89 +140,86 @@ def _reader_store_basis(state: dict, witness) -> tuple[dict, None]:
     return state, None
 
 
-class _StreamingState:
-    """Coordinator-side state shared between the streaming sampler and substrate."""
+class StreamingModel(ClarksonModel):
+    """The stream reader's run: implicit stored-bases weights.
+
+    ``draw`` is one sampling pass and ``measure`` one verification pass,
+    each a task on the reader node; ``boost`` stores the basis of a
+    successful iteration on the reader.  ``resources.passes`` and
+    ``space_peak_items`` / ``space_peak_bits`` carry the streaming costs.  A
+    direct solve costs one pass that stores the whole stream.
+    """
+
+    name = "streaming Clarkson"
+    algorithm = direct_algorithm = "streaming_clarkson"
+    run_metadata = (
+        "algorithm", "r", "epsilon", "sample_size", "boost", "stored_bases",
+        "transport", "kernel_backend",
+    )
+    direct_metadata = ("algorithm", "r", "kernel_backend")
 
     def __init__(
-        self,
-        problem: LPTypeProblem,
-        topology: StreamTopology,
-        memory: StreamingMemory,
-        oracle: ViolationOracle,
-        boost: float,
-        rng: np.random.Generator,
-        warm_witnesses: Sequence | None = None,
-        kernel_backend: str | None = None,
+        self, problem: LPTypeProblem, config: StreamingConfig, warm_witnesses
     ) -> None:
-        self.problem = problem
-        self.topology = topology
-        self.memory = memory
-        self.oracle = oracle
+        super().__init__(problem, config, warm_witnesses)
+        self.topology = StreamTopology(
+            problem.num_constraints,
+            order=config.order,
+            transport=resolve_transport(config.transport),
+        )
+        self.memory = StreamingMemory()
         self.nu = problem.combinatorial_dimension
         self.bit_size = problem.bit_size()
         # Warm re-solves (session API) seed the reader's stored bases with a
         # prior run's successful-iteration witnesses: the implicit weights
         # resume exactly where the prior run left them, and the carried
         # bases count toward the modelled footprint like freshly stored ones.
-        warm = list(warm_witnesses) if warm_witnesses else []
-        self.num_bases = len(warm)
-        self.chunks_per_pass = max(
-            1, -(-topology.num_items // _CHUNK_ITEMS)
-        )
-        topology.share("problem", problem)
-        topology.init_state(
+        self.num_bases = len(self.warm)
+        self.chunks_per_pass = max(1, -(-self.topology.num_items // _CHUNK_ITEMS))
+
+    def install(self, boost: float, backend: str) -> None:
+        self.topology.share("problem", self.problem)
+        self.topology.init_state(
             0,
             {
                 "problem": SharedRef("problem"),
-                "order": topology.order(),
-                "rng": rng,
-                "witnesses": warm,
+                "order": self.topology.order(),
+                "rng": self.rng,
+                "witnesses": list(self.warm),
                 "boost": boost,
-                "kernel": kernel_backend,
+                "kernel": backend,
             },
         )
+
+    def pay_direct(self) -> None:
+        # The sample would contain the whole stream: one pass, full storage.
+        self.topology.record_pass()
+        n = self.topology.num_items
+        self.memory.set_usage(items=n, bits=n * self.bit_size)
 
     def record_footprint(self, stored_items: int) -> None:
         items = stored_items + self.num_bases * self.nu + 1
         self.memory.set_usage(items=items, bits=items * self.bit_size)
 
-
-class ReservoirPassSampling(SamplingStrategy):
-    """The sampling pass, executed as one reader-node task."""
-
-    def __init__(self, state: _StreamingState) -> None:
-        self.state = state
-
     def draw(self, sample_size: int) -> np.ndarray:
-        state = self.state
-        items = state.topology.run_pass(_reader_sampling_pass, sample_size)
-        state.oracle.record_external(state.chunks_per_pass, state.topology.num_items)
+        items = self.topology.run_pass(_reader_sampling_pass, sample_size)
+        self.oracle.record_external(self.chunks_per_pass, self.topology.num_items)
         # Peak footprint of the sampling pass: the reservoir, the stored
         # bases, and the single in-flight stream item.
-        state.record_footprint(int(items.size))
+        self.record_footprint(int(items.size))
         return items
 
-
-class ImplicitStreamSubstrate(WeightSubstrate):
-    """Implicit stored-bases weights with a verification pass per iteration.
-
-    The verification pass recomputes the implicit weights on the fly (as a
-    real streaming algorithm must) and accumulates the violator / total
-    weight chunk by chunk.
-    """
-
-    def __init__(self, state: _StreamingState) -> None:
-        self.state = state
-
     def measure(self, sample: np.ndarray, basis: BasisResult) -> ViolationStats:
-        state = self.state
-        violator_weight, total_weight, violator_count = state.topology.run_pass(
+        # The verification pass recomputes the implicit weights on the fly
+        # (as a real streaming algorithm must) and accumulates the violator
+        # and total weight chunk by chunk.
+        violator_weight, total_weight, violator_count = self.topology.run_pass(
             _reader_verification_pass, basis.witness
         )
-        state.oracle.record_external(
-            2 * state.chunks_per_pass, 2 * state.topology.num_items
+        self.oracle.record_external(
+            2 * self.chunks_per_pass, 2 * self.topology.num_items
         )
-        state.record_footprint(int(len(sample)))
+        self.record_footprint(int(len(sample)))
         fraction = violator_weight / total_weight if total_weight > 0 else 0.0
         return ViolationStats(
             num_violators=violator_count, weight_fraction=fraction, context=basis
@@ -242,119 +227,23 @@ class ImplicitStreamSubstrate(WeightSubstrate):
 
     def boost(self, stats: ViolationStats) -> None:
         basis: BasisResult = stats.context
-        self.state.topology.run_on(0, _reader_store_basis, basis.witness)
-        self.state.num_bases += 1
+        self.topology.run_on(0, _reader_store_basis, basis.witness)
+        self.num_bases += 1
 
+    def usage(self) -> ResourceUsage:
+        return replace(
+            self.topology.usage(),
+            space_peak_items=self.memory.peak_items,
+            space_peak_bits=self.memory.peak_bits,
+        )
 
-def _streaming_clarkson_solve(
-    problem: LPTypeProblem,
-    config: StreamingConfig,
-    warm_witnesses: list | None = None,
-) -> SolveResult:
-    """The streaming driver behind ``repro.solve(problem, model="streaming")``.
-
-    Registered as the model's runner and warm runner;
-    ``resources.passes`` and ``resources.space_peak_items`` /
-    ``space_peak_bits`` carry the streaming costs of the run.
-    ``warm_witnesses`` (session API) seeds the implicit stored-bases weights
-    with a prior run's successful-iteration witnesses.
-    """
-    gen = as_generator(config.seed)
-    n = problem.num_constraints
-    topology = StreamTopology(
-        n, order=config.order, transport=resolve_transport(config.transport)
-    )
-    memory = StreamingMemory()
-    bit_size = problem.bit_size()
-
-    backend = kernels.resolve_backend_name(config.kernel_backend)
-    with kernels.use_backend(backend):
-        sample_size, epsilon = resolve_sampling(problem, config)
-        if sample_size >= n:
-            # The sample would contain the whole stream: one pass, full storage.
-            topology.record_pass()
-            result = solve_small_problem(problem)
-            result.resources.passes = topology.passes
-            result.resources.space_peak_items = n
-            result.resources.space_peak_bits = n * bit_size
-            result.resources.per_round = topology.ledger.as_table()
-            result.metadata.update(
-                {
-                    "algorithm": "streaming_clarkson",
-                    "r": config.r,
-                    "kernel_backend": backend,
-                }
-            )
-            result.warm = _warm_stats(warm_witnesses, [])
-            return result
-
-        boost = config.boost if config.boost is not None else boost_factor(n, config.r)
-        try:
-            # State installation already talks to the transport (sharing the
-            # problem, shipping the reader state), so it runs inside the same
-            # try/finally that guarantees topology.close() — a run-private
-            # process pool must not leak when installation fails.
-            state = _StreamingState(
-                problem=problem,
-                topology=topology,
-                memory=memory,
-                oracle=ViolationOracle(problem),
-                boost=boost,
-                rng=gen,
-                warm_witnesses=warm_witnesses,
-                kernel_backend=backend,
-            )
-            engine = ClarksonEngine(
-                problem=problem,
-                sampler=ReservoirPassSampling(state),
-                substrate=ImplicitStreamSubstrate(state),
-                config=EngineConfig(
-                    sample_size=sample_size,
-                    epsilon=epsilon,
-                    budget=iteration_budget(problem, config.r, config.max_iterations),
-                    keep_trace=config.keep_trace,
-                    name="streaming Clarkson",
-                    basis_cache=config.basis_cache,
-                ),
-            )
-            outcome = engine.run()
-        finally:
-            topology.close()
-
-    resources = ResourceUsage(
-        passes=topology.passes,
-        space_peak_items=memory.peak_items,
-        space_peak_bits=memory.peak_bits,
-        oracle_calls=state.oracle.calls,
-        basis_cache_hits=outcome.cache_hits,
-        basis_cache_misses=outcome.cache_misses,
-        per_round=topology.ledger.as_table(),
-    )
-    return SolveResult(
-        value=outcome.basis.value,
-        witness=outcome.basis.witness,
-        basis_indices=outcome.basis.indices,
-        iterations=outcome.iterations,
-        successful_iterations=outcome.successful_iterations,
-        resources=resources,
-        trace=outcome.trace,
-        metadata={
-            "algorithm": "streaming_clarkson",
-            "r": config.r,
-            "epsilon": epsilon,
-            "sample_size": sample_size,
-            "boost": boost,
-            "stored_bases": state.num_bases,
-            "transport": topology.transport.name,
-            "kernel_backend": backend,
-        },
-        warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
-    )
+    def metadata(self) -> dict:
+        return {**super().metadata(), "stored_bases": self.num_bases}
 
 
 register_model(
     "streaming",
-    _streaming_clarkson_solve,
+    partial(run_clarkson, model=StreamingModel),
     config_cls=StreamingConfig,
     description=(
         "Multi-pass streaming Clarkson (Theorem 1): implicit stored-bases "
@@ -362,6 +251,5 @@ register_model(
     ),
     currencies=("passes", "space_peak_items", "space_peak_bits"),
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_streaming_clarkson_solve,
-    capabilities=("warm_restart", "ingest"),
+    warm_restart=True,
 )

@@ -6,7 +6,8 @@ Each computation model (sequential, streaming, coordinator, MPC, and the
 baselines) registers a :class:`ModelSpec` describing
 
 * how to run it (a ``runner(problem, config) -> SolveResult`` adapter over
-  the model's driver),
+  the model's driver; the four theorem models register
+  ``partial(run_clarkson, model=...)`` with their model class bound),
 * which typed configuration it accepts (a
   :class:`~repro.api.config.SolverConfig` subclass, whose fields double as
   the model's supported configuration keys), and
@@ -117,15 +118,14 @@ class ModelSpec:
         The :class:`~repro.api.config.TransportConfig` kinds the model's
         driver can execute on (every model runs in-process; the distributed
         models additionally run on real worker processes).
-    warm_runner:
-        Optional ``warm_runner(problem, config, warm_witnesses) ->
-        SolveResult`` adapter: runs the driver with its weight state seeded
-        from the given successful-iteration basis witnesses (Section 3.2's
-        model-independent weight representation) and reports reuse stats in
-        ``SolveResult.warm``.  Models without one cannot warm-restart.
-    capabilities:
-        Session-level capability tags (``"warm_restart"``, ``"ingest"``)
-        surfaced through :class:`SessionSpec` / :func:`describe_model`.
+    warm_restart:
+        Whether the runner also accepts ``runner(problem, config,
+        warm_witnesses)``: the run's weight state seeded from the given
+        successful-iteration basis witnesses (Section 3.2's model-independent
+        weight representation), with reuse stats in ``SolveResult.warm``.
+        Such a model supports warm re-solves and ingestion that extends the
+        current problem; :class:`SessionSpec` and :func:`describe_model`
+        derive their capabilities from this one flag.
     """
 
     name: str
@@ -134,8 +134,7 @@ class ModelSpec:
     description: str = ""
     currencies: tuple[str, ...] = ()
     transports: tuple[str, ...] = ("inprocess",)
-    warm_runner: Callable[..., "SolveResult"] | None = None
-    capabilities: tuple[str, ...] = ()
+    warm_restart: bool = False
 
     @property
     def config_keys(self) -> tuple[str, ...]:
@@ -146,9 +145,8 @@ class ModelSpec:
     def session_spec(self) -> SessionSpec:
         """The session-level capability record of this model."""
         return SessionSpec(
-            warm_restart=self.warm_runner is not None
-            and "warm_restart" in self.capabilities,
-            ingest="ingest" in self.capabilities,
+            warm_restart=self.warm_restart,
+            ingest=self.warm_restart,
             transports=self.transports,
         )
 
@@ -204,8 +202,7 @@ def register_model(
     description: str = "",
     currencies: tuple[str, ...] = (),
     transports: tuple[str, ...] = ("inprocess",),
-    warm_runner: Callable[..., Any] | None = None,
-    capabilities: tuple[str, ...] = (),
+    warm_restart: bool = False,
 ) -> Callable[..., Any]:
     """Register a computation model; usable as a decorator on its runner.
 
@@ -223,8 +220,7 @@ def register_model(
             description=description,
             currencies=tuple(currencies),
             transports=tuple(transports),
-            warm_runner=warm_runner,
-            capabilities=tuple(capabilities),
+            warm_restart=bool(warm_restart),
         )
         return fn
 
@@ -358,7 +354,7 @@ def describe_model(name: str) -> Mapping[str, Any]:
         "config_class": spec.config_cls.__name__,
         "config_keys": config_fields,
         "transports": list(spec.transports),
-        "capabilities": list(spec.capabilities),
+        "capabilities": ["warm_restart", "ingest"] if spec.warm_restart else [],
         "kernel_backends": list(kernels.available_backends()),
         "session": spec.session_spec.as_dict(),
     }

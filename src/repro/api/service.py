@@ -131,7 +131,7 @@ class SolverService:
         Bounds the per-ticket retry of *retryable*
         :class:`~repro.core.exceptions.TransportFailure`: a ticket whose
         transport crashed is re-run (resuming from the engine's latest
-        checkpoint when the model has a warm runner) up to
+        checkpoint when the model supports warm restarts) up to
         ``retry_policy.max_attempts`` total attempts.
     circuit_breaker:
         The per-service :class:`~repro.resilience.circuit.CircuitBreaker`;
@@ -381,7 +381,7 @@ class SolverService:
                 if (
                     attempt > 0
                     and checkpoint is not None
-                    and self._session.spec.warm_runner is not None
+                    and self._session.spec.warm_restart
                 ):
                     warm = list(checkpoint.witnesses)
                 try:

@@ -29,9 +29,10 @@ how much prior state was reused.  Two mechanisms implement it:
   of the edited instance (one vectorised sweep) and the prior basis
   survived the edit, the basis is re-certified without entering the engine
   loop at all (``warm.fast_path``);
-* otherwise the model's registered ``warm_runner`` runs the ordinary
-  engine loop with its weight substrate seeded from the carried witnesses,
-  typically terminating in far fewer iterations than a cold start.
+* otherwise the model's runner (registered with ``warm_restart=True``)
+  runs the ordinary engine loop with its weight state seeded from the
+  carried witnesses, typically terminating in far fewer iterations than a
+  cold start.
 
 ``repro.solve`` / ``repro.compare_models`` / ``repro.solve_many`` are thin
 shims over an *ephemeral* session (one solve, no warm tracking) and remain
@@ -402,8 +403,8 @@ class Session:
             meter=start_meter(budget),
             recovery=notes,
         ):
-            if warm_witnesses is not None and self.spec.warm_runner is not None:
-                result = self.spec.warm_runner(problem, config, warm_witnesses)
+            if warm_witnesses is not None:  # only for warm_restart models
+                result = self.spec.runner(problem, config, warm_witnesses)
             else:
                 result = self.spec.runner(problem, config)
         if notes.restarts:
@@ -430,13 +431,13 @@ class Session:
         Does not touch the session's problem or warm state, so concurrent
         ``run_cold`` calls (the :class:`~repro.api.service.SolverService`
         worker threads, ``solve_many``) are safe.  ``warm_witnesses`` (for
-        models with a warm runner) resumes from checkpointed basis
-        witnesses: by the warm==cold determinism contract the resumed solve
+        models registered with ``warm_restart``) resumes from checkpointed
+        basis witnesses: by the warm==cold determinism contract the resumed solve
         certifies the same basis, value, and witness as an uninterrupted
         run — this is the service's checkpoint-recovery path.
         """
         self._check_open()
-        if warm_witnesses is not None and self.spec.warm_runner is None:
+        if not self.spec.warm_restart:
             warm_witnesses = None
         return self._execute(problem, config or self.config, warm_witnesses, budget)
 
@@ -454,7 +455,7 @@ class Session:
         """
         self._check_open()
         config = self._config_for(overrides)
-        tracking = self._warm_tracking and self.spec.warm_runner is not None
+        tracking = self._warm_tracking and self.spec.warm_restart
         result = self._execute(problem, config, [] if tracking else None, budget)
         self._adopt(problem, result)
         return result

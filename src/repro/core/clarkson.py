@@ -1,26 +1,36 @@
-"""Sequential reference implementation of the meta-algorithm (Algorithm 1).
+"""Algorithm 1, run once for every computation model.
 
-This is the in-memory binding of the shared :class:`~repro.core.engine.ClarksonEngine`:
-Clarkson's iterative reweighting scheme driven by eps-net sampling with
-weight boost ``n^{1/r}``, with the weights held as an explicit vector and the
-sample drawn directly from it.  The streaming, coordinator and MPC drivers in
-``repro.algorithms`` bind the *same* engine onto their model substrates; this
-module is the ground truth the others are tested against.  Users who just
-want to solve an LP-type problem on one machine with sub-linear working
-memory reach it through ``repro.solve(problem, model="sequential")``.
+The paper's meta-algorithm (Clarkson's iterative reweighting driven by
+eps-net sampling with weight boost ``n^{1/r}``) runs unchanged in the
+sequential, streaming, coordinator and MPC models (Theorems 1-3); only how
+the weights are stored, sampled and measured changes.  :func:`run_clarkson`
+is that one run.  It decides the sample size, the success threshold and the
+boost, solves instances too small to sample outright, builds and runs the
+:class:`~repro.core.engine.ClarksonEngine`, releases the model's nodes, and
+assembles the :class:`~repro.core.result.SolveResult`.
+
+A model is one :class:`ClarksonModel` subclass: its state, its ``draw`` /
+``measure`` / ``boost``, what its direct solve pays, and the metadata it
+reports.  :class:`SequentialModel` below is the in-memory binding and the
+ground truth the others are tested against; the streaming, coordinator and
+MPC models live in ``repro.algorithms``.  Users reach every model through
+``repro.solve(problem, model=...)``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .. import kernels
 from .engine import (
     ClarksonEngine,
     EngineConfig,
+    EngineOutcome,
     ExplicitWeightSubstrate,
     InMemorySampling,
+    SamplingStrategy,
     ViolationOracle,
+    WeightSubstrate,
     iteration_budget,
 )
 from .epsnet import EpsNetSpec
@@ -33,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - api.config imports this module
     from ..api.config import SolverConfig
 
 __all__ = [
+    "ClarksonModel",
+    "SequentialModel",
+    "run_clarkson",
     "solve_small_problem",
     "resolve_sampling",
 ]
@@ -45,8 +58,8 @@ def resolve_sampling(
 
     Returns ``(sample_size, success_threshold)``, honouring the explicit
     overrides in ``config`` and otherwise using the paper's Lemma 2.2 bound
-    and the Algorithm 1 epsilon.  Shared by the sequential, streaming,
-    coordinator, and MPC drivers so the four agree on the sampling regime.
+    and the Algorithm 1 epsilon.  :func:`run_clarkson` resolves it once for
+    every model, so the four agree on the sampling regime.
     """
     n = problem.num_constraints
     nu = problem.combinatorial_dimension
@@ -99,85 +112,193 @@ def _warm_stats(
     )
 
 
-def _clarkson_solve(
+class ClarksonModel(SamplingStrategy, WeightSubstrate):
+    """One computation model's binding of Algorithm 1, for one run.
+
+    A subclass holds the model's state and implements the engine's ``draw``,
+    ``measure`` and ``boost``.  Everything a result depends on beyond those
+    is data on the class: the engine ``name``, the ``algorithm`` tag of an
+    engine run and of a direct solve, the metadata keys of each, whether a
+    direct solve installs the nodes first, and (per instance)
+    ``always_direct``.  :func:`run_clarkson` does the rest.
+
+    ``warm`` holds the successful-iteration witnesses a warm re-solve starts
+    from (empty for a cold run); ``rng`` is the run's generator and
+    ``oracle`` counts the violation tests the run reports.
+    """
+
+    #: The engine's name in ``IterationLimitError`` messages.
+    name: str
+    #: ``metadata["algorithm"]`` of an engine run and of a direct solve.
+    algorithm: str
+    direct_algorithm: str
+    #: The metadata keys of an engine run and of a direct solve, in order.
+    run_metadata: tuple[str, ...]
+    direct_metadata: tuple[str, ...]
+    #: Whether a direct solve installs the model's nodes before paying.
+    direct_installs = False
+    #: Whether every instance is solved directly (MPC on one machine).
+    always_direct = False
+    #: The fabric topology the run's nodes live on, if the model has one.
+    topology: Any = None
+
+    def __init__(
+        self,
+        problem: LPTypeProblem,
+        config: "SolverConfig",
+        warm_witnesses: list | None,
+    ) -> None:
+        self.problem = problem
+        self.config = config
+        self.warm = list(warm_witnesses) if warm_witnesses else []
+        self.rng = as_generator(config.seed)
+        self.oracle = ViolationOracle(problem)
+
+    def install(self, boost: float, backend: str) -> None:
+        """Build the weight state and install the nodes for a run."""
+
+    def pay_direct(self) -> None:
+        """Charge what solving the whole instance at once costs the model."""
+
+    def warm_exponents(self):
+        """Per-constraint count of violated warm witnesses, or ``None`` cold.
+
+        One vectorised sweep recovers the carried weight state (counted
+        against the oracle like any other violation evaluation).
+        """
+        if not self.warm:
+            return None
+        return self.oracle.count_matrix(self.warm, self.problem.all_indices())
+
+    def usage(self) -> ResourceUsage:
+        """The run's costs in the model's currencies."""
+        return self.topology.usage()
+
+    def metadata(self) -> dict[str, Any]:
+        """Model-specific metadata values, picked by the metadata keys."""
+        if self.topology is None:
+            return {}
+        return {"transport": self.topology.transport.name}
+
+    def release(self) -> None:
+        """Drop the run's node states (and a run-private transport)."""
+        if self.topology is not None:
+            self.topology.close()
+
+
+class SequentialModel(ClarksonModel):
+    """The in-memory binding: an explicit weight vector and a direct draw.
+
+    ``resources.space_peak_items`` records the peak number of constraints
+    materialised at once (the eps-net sample plus the stored bases), the
+    quantity Theorem 1 bounds in the streaming model.
+    """
+
+    name = "Algorithm 1"
+    algorithm = "clarkson_sequential"
+    direct_algorithm = "direct"
+    run_metadata = (
+        "algorithm", "r", "epsilon", "sample_size", "boost", "kernel_backend",
+    )
+    direct_metadata = ("algorithm", "r", "sample_size", "kernel_backend")
+    peak_items = 0
+    _boosts = 0
+
+    draw = InMemorySampling.draw
+    measure = ExplicitWeightSubstrate.measure
+    boost = ExplicitWeightSubstrate.boost
+
+    def install(self, boost: float, backend: str) -> None:
+        exponents = self.warm_exponents()
+        if exponents is None:
+            self.weights = ExplicitWeights.uniform(self.problem.num_constraints, boost)
+        else:
+            self.weights = ExplicitWeights.from_exponents(exponents, boost)
+
+    def usage(self) -> ResourceUsage:
+        return ResourceUsage(space_peak_items=self.peak_items)
+
+
+def run_clarkson(
     problem: LPTypeProblem,
     config: "SolverConfig",
     warm_witnesses: list | None = None,
+    *,
+    model: type[ClarksonModel],
 ) -> SolveResult:
-    """Sequential meta-algorithm (Algorithm 1).
+    """Algorithm 1 in one computation model: the runner of every theorem model.
 
-    The driver behind ``repro.solve(problem, model="sequential")`` (its
-    runner and warm runner) and the baselines; ``config.seed`` controls all
-    randomness of the run.  ``resources`` records the peak number of
-    constraints materialised at once (the eps-net sample plus the stored
-    bases), which is the quantity Theorem 1 bounds in the streaming model.
-    ``warm_witnesses`` (session API) seeds the weight vector from a prior
+    The registry binds ``model`` (``partial(run_clarkson, model=...)``);
+    ``config.seed`` controls all randomness of the run.
+    ``warm_witnesses`` (session API) seeds the weight state from a prior
     run's successful-iteration bases: constraint ``i`` starts at
-    ``boost ** #violated-witnesses`` instead of 1, exactly the implicit
-    weight it would carry had the prior iterations happened in this run.
+    ``boost ** #violated-witnesses`` instead of 1, exactly the weight it
+    would carry had those iterations happened in this run, and
+    ``result.warm`` records the reuse.  The model's nodes are released on
+    every path, failures included.
     """
-    gen = as_generator(config.seed)
     n = problem.num_constraints
-
     if n == 0:
         raise ValueError("problem has no constraints")
+    run = model(problem, config, warm_witnesses)
+    config = run.config
+    try:
+        with kernels.use_backend(config.kernel_backend) as backend:
+            sample_size, epsilon = resolve_sampling(problem, config)
+            boost = config.boost
+            if boost is None:
+                boost = boost_factor(n, config.r)
+            # The eps-net would contain every constraint: solve directly.
+            direct = sample_size >= n or run.always_direct
+            if run.direct_installs or not direct:
+                run.install(boost, backend)
+            if direct:
+                run.pay_direct()
+                outcome = EngineOutcome(
+                    basis=problem.solve(), iterations=1, successful_iterations=1
+                )
+            else:
+                budget = iteration_budget(problem, config.r, config.max_iterations)
+                engine_config = EngineConfig(
+                    sample_size=sample_size,
+                    epsilon=epsilon,
+                    budget=budget,
+                    keep_trace=config.keep_trace,
+                    name=run.name,
+                    basis_cache=config.basis_cache,
+                )
+                outcome = ClarksonEngine(problem, run, run, engine_config).run()
+    finally:
+        run.release()
 
-    with kernels.use_backend(config.kernel_backend) as backend:
-        sample_size, epsilon = resolve_sampling(problem, config)
-        if sample_size >= n:
-            # The eps-net would contain every constraint; solve directly.
-            result = solve_small_problem(problem)
-            result.metadata.update(
-                {"r": config.r, "sample_size": sample_size, "kernel_backend": backend}
-            )
-            result.warm = _warm_stats(warm_witnesses, [])
-            return result
-
-        boost = config.boost if config.boost is not None else boost_factor(n, config.r)
-        oracle = ViolationOracle(problem)
-        if warm_witnesses:
-            # One vectorised sweep recovers the carried weight state (counted
-            # against the oracle like any other violation evaluation).
-            exponents = oracle.count_matrix(warm_witnesses, problem.all_indices())
-            weights = ExplicitWeights.from_exponents(exponents, boost)
-        else:
-            weights = ExplicitWeights.uniform(n, boost)
-        substrate = ExplicitWeightSubstrate(problem, weights, oracle=oracle)
-        engine = ClarksonEngine(
-            problem=problem,
-            sampler=InMemorySampling(weights, gen),
-            substrate=substrate,
-            config=EngineConfig(
-                sample_size=sample_size,
-                epsilon=epsilon,
-                budget=iteration_budget(problem, config.r, config.max_iterations),
-                keep_trace=config.keep_trace,
-                name="Algorithm 1",
-                basis_cache=config.basis_cache,
-            ),
-        )
-        outcome = engine.run()
-
+    resources = run.usage()
+    if direct:
+        # A direct solve holds every constraint at once and asks no oracle.
+        resources.space_peak_items = n
+    else:
+        resources.oracle_calls = run.oracle.calls
+        resources.basis_cache_hits = outcome.cache_hits
+        resources.basis_cache_misses = outcome.cache_misses
+    values = {
+        "algorithm": run.direct_algorithm if direct else run.algorithm,
+        "r": config.r,
+        "epsilon": epsilon,
+        "sample_size": sample_size,
+        "boost": boost,
+        "kernel_backend": backend,
+        **run.metadata(),
+    }
     return SolveResult(
         value=outcome.basis.value,
         witness=outcome.basis.witness,
         basis_indices=outcome.basis.indices,
         iterations=outcome.iterations,
         successful_iterations=outcome.successful_iterations,
-        resources=ResourceUsage(
-            space_peak_items=substrate.peak_items,
-            oracle_calls=oracle.calls,
-            basis_cache_hits=outcome.cache_hits,
-            basis_cache_misses=outcome.cache_misses,
-        ),
+        resources=resources,
         trace=outcome.trace,
         metadata={
-            "algorithm": "clarkson_sequential",
-            "r": config.r,
-            "epsilon": epsilon,
-            "sample_size": sample_size,
-            "boost": boost,
-            "kernel_backend": backend,
+            key: values[key]
+            for key in (run.direct_metadata if direct else run.run_metadata)
         },
         warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
     )

@@ -24,10 +24,12 @@ and delegates everything model-specific to three narrow strategy interfaces:
 * :class:`ViolationOracle` — vectorised violation tests against one
   problem, so no strategy ever calls ``problem.violates`` in a Python loop.
 
-The four drivers (``repro.core.clarkson`` and ``repro.algorithms.*``) are
-thin bindings of model substrates onto this engine; their pass/round/
-communication accounting happens inside their strategy objects, so the
-engine itself never needs to know which model it is running in.
+Each computation model is one :class:`~repro.core.clarkson.ClarksonModel`
+that serves as both its sampling strategy and its weight substrate, and
+:func:`~repro.core.clarkson.run_clarkson` runs this engine on it.  The
+pass/round/communication accounting happens inside the model's ``draw``,
+``measure`` and ``boost``, so the engine itself never needs to know which
+model it is running in.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
 
 
 def iteration_budget(problem: LPTypeProblem, r: int, max_iterations: Optional[int]) -> int:
-    """Iteration budget shared by all four drivers.
+    """Iteration budget shared by all four models.
 
     An explicit ``max_iterations`` wins; ``None`` falls back to a generous
     version of the ``O(nu * r)`` bound of Lemma 3.3.  Non-positive values are
@@ -277,8 +279,9 @@ class EngineConfig:
 
     ``sample_size`` and ``epsilon`` come from
     :func:`repro.core.clarkson.resolve_sampling`, ``budget`` from
-    :func:`iteration_budget`; the drivers resolve them once so that all four
-    models agree on the sampling regime.
+    :func:`iteration_budget`; :func:`repro.core.clarkson.run_clarkson`
+    resolves them once per run, so all four models agree on the sampling
+    regime.
     """
 
     sample_size: int
@@ -423,8 +426,8 @@ class ClarksonEngine:
 
 
 # ---------------------------------------------------------------------- #
-# The in-memory (sequential) binding, used by ``repro.core.clarkson`` and
-# as the reference implementation of the strategy interfaces.
+# The in-memory strategies: the reference implementation of the strategy
+# interfaces, whose methods ``repro.core.clarkson.SequentialModel`` reuses.
 # ---------------------------------------------------------------------- #
 
 
@@ -460,7 +463,6 @@ class ExplicitWeightSubstrate(WeightSubstrate):
         self.problem = problem
         self.weights = weights
         self.oracle = oracle or ViolationOracle(problem)
-        self._all_indices = problem.all_indices()
         self._boosts = 0
         self.peak_items = 0
 

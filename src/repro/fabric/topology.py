@@ -27,8 +27,9 @@ Node-local computation is delegated to the attached
 :class:`~repro.fabric.transport.Transport`; the topology only decides *when*
 nodes run and what the message flow around them costs.  Every topology keeps
 the same four aggregate currencies — ``rounds``, ``total_bits``,
-``max_message_bits``, ``max_load_bits`` — which is what
-``SolveResult.communication`` surfaces from one code path.
+``max_message_bits``, ``max_load_bits`` — and :meth:`Topology.usage` maps
+them, with the per-round ledger, onto
+:class:`~repro.core.result.ResourceUsage` in one place.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 from ..core.accounting import BitCostModel, RoundLedger
 from ..core.context import solve_context
 from ..core.exceptions import CommunicationError
+from ..core.result import ResourceUsage
 from ..core.rng import SeedLike, as_generator
 from .payload import Payload
 from .transport import InProcessTransport, Transport, new_session
@@ -136,6 +138,17 @@ class Topology:
     @property
     def rounds(self) -> int:
         return self.ledger.num_rounds
+
+    def usage(self) -> ResourceUsage:
+        """The run's communication so far, as ``ResourceUsage`` currencies."""
+        return ResourceUsage(
+            rounds=self.rounds,
+            total_communication_bits=self.total_bits,
+            max_message_bits=self.max_message_bits,
+            max_machine_load_bits=self.max_load_bits,
+            machine_count=self.num_nodes,
+            per_round=self.ledger.as_table(),
+        )
 
     def measure(self, payload: Payload) -> int:
         """Measured bit size of one payload under this topology's cost model."""
@@ -569,6 +582,10 @@ class StreamTopology(Topology):
     @property
     def passes(self) -> int:
         return self.ledger.num_rounds
+
+    def usage(self) -> ResourceUsage:
+        """The passes made so far; a stream moves no bits between nodes."""
+        return ResourceUsage(passes=self.passes, per_round=self.ledger.as_table())
 
     def order(self) -> np.ndarray:
         """The arrival order (a copy)."""

@@ -13,6 +13,7 @@ import pytest
 
 from repro import compare_models, solve, solve_many
 from repro.problems import ConvexQuadraticProgram, MinimumEnclosingBall
+from repro.problems import LinearProgram
 from repro.workloads import (
     make_separable_classification,
     random_polytope_lp,
@@ -223,3 +224,10 @@ def test_baseline_models_reachable_from_facade(medium_lp):
     assert classic.metadata["algorithm"] == "clarkson_classic_reweighting"
     assert classic.metadata["boost"] == 2.0  # the baseline's defining knob
     assert_objective_close(exact.value, classic.value)
+
+
+@pytest.mark.parametrize("model", sorted(FACADE_KWARGS))
+def test_every_model_rejects_a_problem_without_constraints(model):
+    problem = LinearProgram(np.ones(2), np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="^problem has no constraints$"):
+        solve(problem, model=model, seed=SEED, **FACADE_KWARGS[model])

@@ -61,6 +61,26 @@ def test_single_scenario_emits_schema(run_suite, tmp_path):
     assert scenario["cache_hits"] + scenario["cache_misses"] >= 1
 
 
+def test_transport_only_run_reports_no_geomean(run_suite, tmp_path, capsys):
+    # No solve scenario runs, so there is no wall time to average.
+    out = tmp_path / "BENCH-transport.json"
+    code = run_suite.main(
+        [
+            "--transport-only", "--transport-n", "500",
+            "--transport-workers", "1", "--transport-rounds", "1",
+            "--transport-repeats", "1", "-o", str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["scenarios"] == []
+    assert report["geomean_wall_time_s"] is None
+    assert [cell["wire"] for cell in report["transport_bench"]["cells"]] == [
+        "pickle", "shm", "tcp",
+    ]
+    assert "geomean wall time" not in capsys.readouterr().out
+
+
 def test_baseline_gate_passes_and_fails(run_suite, tmp_path):
     report = {
         "scenarios": [

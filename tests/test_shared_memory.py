@@ -23,6 +23,7 @@ import pytest
 from repro import TransportConfig, solve
 from repro.api.session import Session
 from repro.core.context import solve_scope
+from repro.core.exceptions import IterationLimitError
 from repro.fabric import shm, wirecodec
 from repro.fabric.payload import Scalar
 from repro.fabric.transport import ProcessPoolTransport
@@ -30,6 +31,7 @@ from repro.problems import LinearProgram
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.workloads import random_feasible_lp
 
+from test_api_facade import FACADE_KWARGS, SEED, _lp_instance
 from test_fabric_transports import assert_bit_identical
 
 pytestmark = pytest.mark.skipif(
@@ -309,6 +311,24 @@ class TestLeakSurface:
         finally:
             session.close()
         _assert_no_leaks()
+
+    @pytest.mark.parametrize("model", ["streaming", "coordinator", "mpc"])
+    def test_failed_solve_releases_its_nodes(self, model):
+        # A solve that runs out of iterations still releases its nodes, and
+        # with them the session's pin on the shared-memory export.
+        before = shm.leaked_segments()
+        with pytest.raises(IterationLimitError):
+            solve(
+                _lp_instance(),
+                model=model,
+                seed=SEED,
+                sample_size=8,
+                success_threshold=0.01,
+                max_iterations=1,
+                transport=TransportConfig(kind="process", shared_memory=True),
+                **FACADE_KWARGS[model],
+            )
+        assert shm.leaked_segments() == before
 
     def test_release_in_worker_drops_attachments(self):
         # A long-lived pool must not accumulate segment mappings across
