@@ -30,7 +30,11 @@ facade solves; each theorem model at ``sample_size=n`` (the small-instance
 paths); one ``session.solve`` and three ``resolve_with`` edits per model (an
 addition, a removal, both), which run the warm paths; the coordinator on its
 aggregation tree; MPC on one machine; streaming with a permuted arrival
-order; and streaming, coordinator and MPC on ``TransportConfig(kind="process")``.
+order; streaming, coordinator and MPC on ``TransportConfig(kind="process")``;
+and, per model and on ``TransportConfig(kind="tcp")`` and on
+``TransportConfig(kind="process", shared_memory=False)``, one session that
+solves the instance, solves the same object again (the workers keep it, so
+only a reference travels) and re-solves it with a block added.
 The hashes do not depend on the kernel backend, so the dump run under
 ``REPRO_KERNEL_BACKEND=numpy`` and ``fused`` must agree too.  Two checkouts
 give the same results bit for bit when their dumps are identical::
@@ -68,6 +72,12 @@ BASELINES = {
     "ship_all_coordinator/k=4": dict(num_sites=4),
     "ship_all_coordinator/k=7": dict(num_sites=7),
     "classic_reweighting": dict(seed=SEED, **FAST),
+}
+
+#: The transports of the session cells that solve one problem object twice.
+SESSION_TRANSPORTS = {
+    "tcp": TransportConfig(kind="tcp"),
+    "pipe": TransportConfig(kind="process", shared_memory=False),
 }
 
 
@@ -184,6 +194,16 @@ def _result_cells(family: str, problem, facade: dict) -> dict:
             problem, model=model, seed=SEED, **FAST, **FACADE_KWARGS[model],
             transport=TransportConfig(kind="process"),
         )
+    for name, transport in SESSION_TRANSPORTS.items():
+        for model in ("streaming", "coordinator", "mpc"):
+            with session(
+                model=model, seed=SEED, **FAST, **FACADE_KWARGS[model],
+                transport=transport,
+            ) as sess:
+                cell = f"{family}/{model}/session/{name}"
+                cells[f"{cell}/solve"] = sess.solve(problem)
+                cells[f"{cell}/again"] = sess.solve(problem)
+                cells[f"{cell}/add"] = sess.resolve_with(added=ADDED[family](problem))
     return cells
 
 

@@ -157,7 +157,6 @@ class CoordinatorModel(ClarksonModel):
         "transport", "kernel_backend",
     )
     direct_metadata = ("algorithm", "r", "k", "topology", "transport", "kernel_backend")
-    direct_installs = True
 
     def __init__(
         self, problem: LPTypeProblem, config: CoordinatorConfig, warm_witnesses
@@ -215,8 +214,14 @@ class CoordinatorModel(ClarksonModel):
             )
 
     def pay_direct(self) -> None:
-        # Cheaper to ship everything to the coordinator in one exchange.
+        # Cheaper to ship everything to the coordinator in one exchange.  The
+        # sites need only their shares for it: no weights, no RNGs.
         topology = self.topology
+        topology.share("problem", self.problem)
+        for site_id, local in enumerate(self.partition):
+            topology.init_state(
+                site_id, {"problem": SharedRef("problem"), "local_indices": local}
+            )
         topology.begin_round()
         topology.broadcast_down(Flag("send-all", 1))
         blocks = topology.run_all(_site_ship_all, [()] * topology.num_sites)

@@ -179,7 +179,6 @@ class MPCModel(ClarksonModel):
         "fanout", "transport", "kernel_backend",
     )
     direct_metadata = ("algorithm", "delta", "k", "transport", "kernel_backend")
-    direct_installs = True
 
     def __init__(
         self, problem: LPTypeProblem, config: MPCConfig, warm_witnesses

@@ -8,7 +8,10 @@ A :class:`Session` is the long-lived counterpart of the one-shot
 * a long-lived **transport**: with ``TransportConfig(kind="process")`` the
   worker pool is spun up once at session creation and reused by every solve
   (one ``ProcessPoolTransport`` instead of per-call pools), which is where
-  the heavy-traffic amortisation comes from;
+  the heavy-traffic amortisation comes from.  The workers (pool processes
+  or TCP agents) keep each problem the session ships until the session
+  closes or drops the problem, so solving one problem object again ships
+  no bytes;
 * a **warm state**: the successful-iteration basis witnesses of the previous
   solve — the model-independent form of the Clarkson weight state
   (Section 3.2: the weight of a constraint is ``boost ** #violated-stored-
@@ -301,11 +304,12 @@ class Session:
         # driver will ever talk to would be pure waste.
         self._transport: Optional[Transport] = None
         self._owns_transport = False
-        # Shared-memory exports made by this session's solves are co-owned by
-        # this token, so the problem's segment outlives the per-solve fabric
-        # sessions and is unlinked deterministically at close().  Only
-        # long-lived sessions on a shared-memory transport need one.
-        self._shm_token: Optional[str] = None
+        # The values this session's solves keep on the workers (and their
+        # shared-memory exports) are co-owned by this pin, so the problem
+        # outlives the per-solve fabric sessions: a later solve of the same
+        # object ships nothing.  close() releases it.  Ephemeral shims have
+        # no pin: their values live as long as one solve.
+        self._pin: Optional[str] = None
         if (
             transport_cfg is not None
             and transport_cfg.kind != "inprocess"
@@ -316,8 +320,8 @@ class Session:
             # clear the flag so topologies leave it up between solves.
             self._owns_transport = self._transport.private
             self._transport.private = False
-            if self._warm_tracking and self._transport.shared_memory:
-                self._shm_token = shm.new_pin_token()
+            if self._warm_tracking:
+                self._pin = shm.new_pin_token()
             if self._warm_tracking or self._owns_transport:
                 # Explicit sessions pay spin-up now; ephemeral shims leave
                 # shared transports lazy (the first solve starts them, exactly
@@ -335,18 +339,22 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """End the session: tear down a session-owned worker pool."""
+        """End the session: drop what it keeps on the workers, and tear
+        down a session-owned worker pool."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_transport and self._transport is not None:
-            self._transport.close()
-        self._transport = None
-        if self._shm_token is not None:
-            # Drop this session's pin: shared segments whose owner set
-            # drains here are unlinked now, deterministically.
-            shm.store().release_owner(self._shm_token)
-            self._shm_token = None
+        try:
+            if self._pin is not None:
+                # Kept values and shared segments whose owner set drains
+                # here are dropped on every worker and unlinked now,
+                # deterministically — on a shared transport too.
+                self._transport.release(self._pin)
+                self._pin = None
+        finally:
+            if self._owns_transport and self._transport is not None:
+                self._transport.close()
+            self._transport = None
 
     def reset(self) -> None:
         """Drop the warm state (the next solve is cold again)."""
@@ -389,7 +397,7 @@ class Session:
     ) -> SolveResult:
         """One driver run in the session's solve scope.
 
-        The scope pins the session's transport and shared-memory token,
+        The scope pins the session's transport and its pin,
         installs the budget meter, and hands the transport fresh
         :class:`~repro.resilience.faults.RecoveryNotes` to report what it
         did; worker restarts are folded into the result's
@@ -399,7 +407,7 @@ class Session:
         notes = RecoveryNotes()
         with solve_scope(
             transport=self._transport,
-            shm_pin=self._shm_token,
+            shm_pin=self._pin,
             meter=start_meter(budget),
             recovery=notes,
         ):

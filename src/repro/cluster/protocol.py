@@ -15,6 +15,9 @@ registry -> agent   ``("welcome", {version, agent_id,
 registry -> agent   ``("reject", reason)``                          —
 agent -> registry   ``("hb", seq)`` (async, every interval)         —
 registry -> agent   ``("share", session, key, value_bytes)``        ``("ok", None)``
+registry -> agent   ``("keep", ref, value_bytes)``                  ``("ok", None)``
+registry -> agent   ``("bind", session, key, ref)``                 ``("ok", None)``
+registry -> agent   ``("drop", [ref, ...])``                        ``("ok", None)``
 registry -> agent   ``("init", session, node_id, state_bytes)``     ``("ok", None)``
 registry -> agent   ``("run", session, [(node_id, fn_bytes,
                     args_bytes), ...])``                            ``("ok", [result_bytes, ...])``

@@ -20,7 +20,8 @@ surviving member.  Socket loss and heartbeat expiry (the registry's
 
 No shared-memory shipping over TCP: a ``ShippedObject`` handle references
 local pages a remote host cannot map, so ``init_shared`` ships plain
-pickles.
+pickles — once per API session, since the agents keep each value and later
+solves of the same object send only its reference name.
 """
 
 from __future__ import annotations

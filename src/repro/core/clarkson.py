@@ -118,9 +118,8 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
     A subclass holds the model's state and implements the engine's ``draw``,
     ``measure`` and ``boost``.  Everything a result depends on beyond those
     is data on the class: the engine ``name``, the ``algorithm`` tag of an
-    engine run and of a direct solve, the metadata keys of each, whether a
-    direct solve installs the nodes first, and (per instance)
-    ``always_direct``.  :func:`run_clarkson` does the rest.
+    engine run and of a direct solve, the metadata keys of each, and (per
+    instance) ``always_direct``.  :func:`run_clarkson` does the rest.
 
     ``warm`` holds the successful-iteration witnesses a warm re-solve starts
     from (empty for a cold run); ``rng`` is the run's generator and
@@ -135,8 +134,6 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
     #: The metadata keys of an engine run and of a direct solve, in order.
     run_metadata: tuple[str, ...]
     direct_metadata: tuple[str, ...]
-    #: Whether a direct solve installs the model's nodes before paying.
-    direct_installs = False
     #: Whether every instance is solved directly (MPC on one machine).
     always_direct = False
     #: The fabric topology the run's nodes live on, if the model has one.
@@ -155,10 +152,11 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
         self.oracle = ViolationOracle(problem)
 
     def install(self, boost: float, backend: str) -> None:
-        """Build the weight state and install the nodes for a run."""
+        """Build the weight state and install the nodes for an engine run."""
 
     def pay_direct(self) -> None:
-        """Charge what solving the whole instance at once costs the model."""
+        """Charge what solving the whole instance at once costs the model
+        (installing only the node state that costs it reads)."""
 
     def warm_exponents(self):
         """Per-constraint count of violated warm witnesses, or ``None`` cold.
@@ -250,14 +248,13 @@ def run_clarkson(
                 boost = boost_factor(n, config.r)
             # The eps-net would contain every constraint: solve directly.
             direct = sample_size >= n or run.always_direct
-            if run.direct_installs or not direct:
-                run.install(boost, backend)
             if direct:
                 run.pay_direct()
                 outcome = EngineOutcome(
                     basis=problem.solve(), iterations=1, successful_iterations=1
                 )
             else:
+                run.install(boost, backend)
                 budget = iteration_budget(problem, config.r, config.max_iterations)
                 engine_config = EngineConfig(
                     sample_size=sample_size,

@@ -16,11 +16,13 @@ This module replaces the copies with one shared segment:
   same physical memory, and per-worker RSS stops scaling with the problem.
 * Lifetime is refcounted by *owner tokens*: the fabric session that shipped
   the object always owns the segment, and the solve context's ``shm_pin``
-  (installed by the API session) can extend it across solves.  The segment
-  is unlinked the moment its owner set drains —
-  session release, ``Session.close()`` — and an ``atexit`` sweep unlinks
-  anything that survives, so a crashed worker can never leak a segment
-  (workers only ever *attach*; the creating process owns the name).
+  (installed by the API session) can extend it across solves — but not
+  beyond the object: once the exported object is collected, the pins no
+  longer own its segment.  The segment is unlinked the moment its owner set
+  drains — session release, ``Session.close()``, the object's collection —
+  and an ``atexit`` sweep unlinks anything that survives, so a crashed
+  worker can never leak a segment (workers only ever *attach*; the creating
+  process owns the name).
 
 Python 3.11's ``resource_tracker`` registers every segment it sees — in the
 creator *and* in every attaching process — and unlinks them when the first
@@ -329,14 +331,23 @@ class ShippedObject:
 
 
 class _Export:
-    __slots__ = ("name", "segment", "shipped", "owners", "nbytes")
+    __slots__ = ("name", "segment", "shipped", "owners", "pins", "nbytes")
 
     def __init__(self, name, segment, shipped, nbytes) -> None:
         self.name = name
         self.segment = segment
         self.shipped = shipped
         self.owners: set[str] = set()
+        # The owners that came from the ambient pin: they own the segment
+        # only while the exported object lives.
+        self.pins: set[str] = set()
         self.nbytes = nbytes
+
+    def own(self, owner: str, pin: Optional[str]) -> None:
+        self.owners.add(owner)
+        if pin is not None:
+            self.owners.add(pin)
+            self.pins.add(pin)
 
 
 class SharedPackStore:
@@ -346,7 +357,10 @@ class SharedPackStore:
     segment (or reuses a live export of the *same object*, adding ``owner``
     to its refcount) and returns the :class:`ShippedObject` handle.
     ``release_owner(owner)`` drops that owner everywhere and unlinks every
-    segment whose owner set drained.  All methods are thread-safe.
+    segment whose owner set drained.  When an exported object is collected,
+    its segment loses its pin owners at the store's next call, and is
+    unlinked if no fabric session still owns it.  All methods are
+    thread-safe.
     """
 
     def __init__(self) -> None:
@@ -355,6 +369,10 @@ class SharedPackStore:
         # The weakrefs themselves must stay alive for their eviction
         # callbacks to fire (a collected weakref never calls back).
         self._refs: dict[int, weakref.ref] = {}
+        # (object id, segment name) of collected objects.  A callback may
+        # fire inside a locked block, so it only appends here; the next
+        # call drains the list under the lock.
+        self._collected: list[tuple[int, str]] = []
         self._lock = threading.Lock()
 
     # -- export ---------------------------------------------------------- #
@@ -365,16 +383,13 @@ class SharedPackStore:
         Objects without a single qualifying array are returned as-is: no
         empty segments, and the caller's ordinary pickle path applies.
         """
-        owners = {owner}
         pin = solve_context().shm_pin
-        if pin is not None:
-            owners.add(pin)
-        with self._lock:
+        with self._locked():
             name = self._by_object.get(id(value))
             export = self._exports.get(name) if name is not None else None
+            if export is not None:
+                export.own(owner, pin)
         if export is not None:
-            with self._lock:
-                export.owners.update(owners)
             return export.shipped
         prepare = getattr(value, "prepare_for_export", None)
         if prepare is not None:
@@ -404,26 +419,53 @@ class SharedPackStore:
             segment.name, tuple(directory), buffer.getvalue(), nbytes=total
         )
         export = _Export(segment.name, segment, shipped, total)
-        export.owners.update(owners)
+        export.own(owner, pin)
         with self._lock:
             self._exports[segment.name] = export
             try:
                 ref = weakref.ref(value, self._make_evictor(id(value), segment.name))
             except TypeError:
-                ref = None
-            if ref is not None:
+                # Never recognised again, so no pin can reuse it: the
+                # segment lives as long as its sessions.
+                export.owners -= export.pins
+                export.pins.clear()
+            else:
                 self._by_object[id(value)] = segment.name
                 self._refs[id(value)] = ref
         return shipped
 
     def _make_evictor(self, obj_id: int, name: str):
+        collected = self._collected
+
         def _evict(_ref: Any) -> None:
-            with self._lock:
-                if self._by_object.get(obj_id) == name:
-                    del self._by_object[obj_id]
-                    self._refs.pop(obj_id, None)
+            collected.append((obj_id, name))
 
         return _evict
+
+    @contextmanager
+    def _locked(self) -> Iterator[list[_Export]]:
+        """The store's lock, entered after forgetting collected objects and
+        ending their pins' ownership.  Yields the list of exports left with
+        no owner (callers may add to it); they are unlinked on exit."""
+        doomed: list[_Export] = []
+        try:
+            with self._lock:
+                while self._collected:
+                    obj_id, name = self._collected.pop()
+                    if self._by_object.get(obj_id) == name:
+                        del self._by_object[obj_id]
+                        self._refs.pop(obj_id, None)
+                    export = self._exports.get(name)
+                    if export is None:
+                        continue
+                    export.owners -= export.pins
+                    export.pins.clear()
+                    if not export.owners:
+                        doomed.append(self._exports.pop(name))
+                yield doomed
+        finally:
+            for export in doomed:
+                _unlink_segment(export.segment)
 
     def _create_segment(self, size: int):
         while True:
@@ -437,17 +479,17 @@ class SharedPackStore:
 
     def adopt(self, segment_name: str, owner: str) -> None:
         """Add one owner to a live export (no-op for unknown segments)."""
-        with self._lock:
+        with self._locked():
             export = self._exports.get(segment_name)
             if export is not None:
                 export.owners.add(owner)
 
     def release_owner(self, owner: str) -> None:
         """Drop ``owner`` everywhere; unlink exports left with no owner."""
-        doomed = []
-        with self._lock:
+        with self._locked() as doomed:
             for name, export in list(self._exports.items()):
                 export.owners.discard(owner)
+                export.pins.discard(owner)
                 if not export.owners:
                     doomed.append(self._exports.pop(name))
             if doomed:
@@ -456,12 +498,6 @@ class SharedPackStore:
                     if name in names:
                         del self._by_object[obj_id]
                         self._refs.pop(obj_id, None)
-        for export in doomed:
-            self._unlink(export)
-
-    @staticmethod
-    def _unlink(export: _Export) -> None:
-        _unlink_segment(export.segment)
 
     def unlink_all(self) -> None:
         """Unlink every export regardless of owners (the ``atexit`` sweep)."""
@@ -470,17 +506,18 @@ class SharedPackStore:
             self._exports.clear()
             self._by_object.clear()
             self._refs.clear()
+            self._collected.clear()
         for export in doomed:
-            self._unlink(export)
+            _unlink_segment(export.segment)
 
     # -- introspection --------------------------------------------------- #
 
     def segment_names(self) -> list[str]:
-        with self._lock:
+        with self._locked():
             return sorted(self._exports)
 
     def owners_of(self, segment_name: str) -> set[str]:
-        with self._lock:
+        with self._locked():
             export = self._exports.get(segment_name)
             return set(export.owners) if export is not None else set()
 
@@ -502,11 +539,11 @@ def new_pin_token() -> str:
     """A fresh owner token for a long-lived pin (one per API session).
 
     The API session installs its token as the solve context's ``shm_pin``
-    around each solve: every segment exported in scope is co-owned by the
+    around each solve: every segment exported in scope — and every value a
+    process or TCP transport keeps on its workers — is co-owned by the
     token, so it survives the per-solve fabric session release and is
-    reused by the next solve (the export cache recognises the object), with
-    the deterministic unlink moved to ``Session.close()`` /
-    :meth:`SharedPackStore.release_owner`.
+    reused by the next solve of the same object, with the deterministic
+    release moved to ``Session.close()`` or to the object's collection.
     """
     return f"pin{next(_PIN_COUNTER)}"
 

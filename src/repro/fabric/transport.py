@@ -17,8 +17,9 @@ The last two are configurations of one :class:`JournaledTransport`: nodes
 are pinned to ``max_workers`` slots by ``node_id % max_workers``, every slot
 is served by a worker running :func:`worker_loop` over its channel, task
 functions travel pickled by reference, args and results through their
-canonical wire bytes, and a per-session journal lets a lost worker be
-replaced without changing a bit.
+canonical wire bytes, shared values are kept on the workers for as long as
+an owner holds them (so an API session ships its problem once, not once per
+solve), and a journal lets a lost worker be replaced without changing a bit.
 
 All run the *same* task functions on the *same* per-node states (RNG
 generators ship inside the state, so random streams advance identically),
@@ -40,6 +41,7 @@ import multiprocessing as mp
 import pickle
 import threading
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -59,6 +61,7 @@ __all__ = [
     "InProcessTransport",
     "JournaledTransport",
     "ProcessPoolTransport",
+    "kept_values",
     "resolve_transport",
     "shared_process_transport",
     "transport_for",
@@ -66,6 +69,7 @@ __all__ = [
 ]
 
 _SESSION_COUNTER = itertools.count()
+_KEPT_COUNTER = itertools.count()
 
 
 def new_session() -> str:
@@ -80,10 +84,11 @@ class SharedRef:
     Large read-only objects every node needs (the problem instance, above
     all) are installed once per session with ``Transport.init_shared`` and
     referenced from node states as ``SharedRef(key)``; the transport resolves
-    the reference when the state is installed.  On the process transport the
-    object is shipped once per *worker* instead of once per node — for MPC's
-    ``k ~ n^(1-delta)`` machines that removes an ``O(k * n)`` pickling and
-    memory blow-up.
+    the reference when the state is installed.  On the process and TCP
+    transports the object is shipped once per *worker* instead of once per
+    node — for MPC's ``k ~ n^(1-delta)`` machines that removes an
+    ``O(k * n)`` pickling and memory blow-up — and kept there across the
+    solves of one API session.
     """
 
     key: str
@@ -205,6 +210,38 @@ class InProcessTransport(Transport):
             del self._shared[key]
 
 
+#: The worker loop running in this thread, for :func:`kept_values`.
+_WORKER = threading.local()
+
+
+def kept_values() -> dict:
+    """The values the worker loop running in this thread keeps, by reference.
+
+    Empty outside a worker.  Node tasks run inside the loop, so a probe task
+    (:mod:`repro.workloads.transport_probe`) can report what its worker holds.
+    """
+    return dict(getattr(_WORKER, "kept", {}))
+
+
+def _load_shared(value_bytes: bytes, segments: dict, holder: str) -> Any:
+    """Unpickle a shared value; its holder retains the segments it attached."""
+    with shm.track_attachments() as seen:
+        value = pickle.loads(value_bytes)
+    if seen:
+        known = segments.setdefault(holder, set())
+        fresh = seen - known
+        if fresh:
+            shm.retain_attachments(fresh)
+            known.update(fresh)
+    return value
+
+
+def _unmap(segments: dict, holder: str) -> None:
+    names = segments.pop(holder, None)
+    if names:
+        shm.release_attachments(names)
+
+
 def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     """The command loop of every worker: pool processes and node agents.
 
@@ -217,6 +254,9 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     command                                                   ``ok`` body
     ========================================================  ===================
     ``("share", session, key, value_bytes)``                  ``None``
+    ``("keep", ref, value_bytes)``                            ``None``
+    ``("bind", session, key, ref)``                           ``None``
+    ``("drop", [ref, ...])``                                  ``None``
     ``("init", session, node_id, state_bytes)``               ``None``
     ``("run", session, [(node_id, fn_bytes, args_bytes)])``   ``[result_bytes]``
     ``("ping",)``                                             ``"pong"``
@@ -227,17 +267,23 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     A raising task answers ``("error", traceback)`` and an unknown command
     ``("error", "unknown command ...")``; neither ends the loop, which
     returns on ``stop`` or when the channel closes.  Shared values arrive as
-    pickles; a pickled :class:`~repro.fabric.shm.ShippedObject` re-attaches
-    the parent's segment, so the worker maps the same physical pages, and
-    ``release`` drops the session's mappings again — a long-lived worker
-    must not accumulate maps of unlinked segments.  Task functions are
-    cached per pickle (they recur every round); args and results travel
-    through the pickle-free frame codec.
+    pickles.  ``share`` gives one session a value that ``release`` drops
+    with it; ``keep`` holds a value under a reference name until ``drop``,
+    and ``bind`` gives a session a kept value, so one value serves many
+    sessions and ships once.  A pickled :class:`~repro.fabric.shm.ShippedObject`
+    re-attaches the parent's segment, so the worker maps the same physical
+    pages; the mapping lives as long as the session or the kept value that
+    attached it — a long-lived worker must not accumulate maps of unlinked
+    segments.  Task functions are cached per pickle (they recur every
+    round); args and results travel through the pickle-free frame codec.
     """
     states: dict[tuple[str, int], Any] = {}
     shared: dict[tuple[str, str], Any] = {}
+    kept: dict[str, Any] = {}
     fn_cache: dict[bytes, Any] = {}
     session_segments: dict[str, set[str]] = {}
+    kept_segments: dict[str, set[str]] = {}
+    _WORKER.kept = kept
     while True:
         try:
             message = conn.recv()
@@ -248,14 +294,18 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
         try:
             if command == "share":
                 _, session, key, value_bytes = message
-                with shm.track_attachments() as seen:
-                    shared[(session, key)] = pickle.loads(value_bytes)
-                if seen:
-                    known = session_segments.setdefault(session, set())
-                    fresh = seen - known
-                    if fresh:
-                        shm.retain_attachments(fresh)
-                        known.update(fresh)
+                shared[(session, key)] = _load_shared(value_bytes, session_segments, session)
+            elif command == "keep":
+                _, ref, value_bytes = message
+                kept[ref] = _load_shared(value_bytes, kept_segments, ref)
+            elif command == "bind":
+                _, session, key, ref = message
+                shared[(session, key)] = kept[ref]
+            elif command == "drop":
+                _, refs = message
+                for ref in refs:
+                    kept.pop(ref, None)
+                    _unmap(kept_segments, ref)
             elif command == "init":
                 _, session, node_id, state_bytes = message
                 states[(session, node_id)] = _resolve_shared(
@@ -282,9 +332,7 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
                     del states[key]
                 for key in [k for k in shared if k[0] == session]:
                     del shared[key]
-                names = session_segments.pop(session, None)
-                if names:
-                    shm.release_attachments(names)
+                _unmap(session_segments, session)
             elif command != "stop":
                 reply = ("error", f"unknown command {command!r}")
         except BaseException:
@@ -372,8 +420,8 @@ class _PipeChannel(Channel):
 class _SessionJournal:
     """Everything needed to rebuild one session's worker-side state.
 
-    ``ops`` is the ordered log of shares and node inits (order matters: a
-    ``SharedRef`` is resolved against the shares installed before the
+    ``ops`` is the ordered log of bindings and node inits (order matters: a
+    ``SharedRef`` is resolved against the bindings installed before the
     init); ``tasks`` maps ``node_id`` to the task triples its worker
     acknowledged since that node's most recent init.
     """
@@ -381,18 +429,33 @@ class _SessionJournal:
     __slots__ = ("ops", "tasks")
 
     def __init__(self) -> None:
-        self.ops: list[tuple] = []  # ("share", key, bytes) | ("init", node_id, bytes)
+        self.ops: list[tuple] = []  # ("bind", key, ref) | ("init", node_id, bytes)
         self.tasks: dict[int, list[tuple[int, bytes, bytes]]] = {}
 
 
-def _apply(target: InProcessTransport, session: str, ops, triples) -> None:
-    """Re-apply journaled ops, then task triples, in-process."""
+class _Kept:
+    """One shared value every worker keeps: its pickle, journaled once, and
+    the owners (fabric sessions, and the pin of the API session that shipped
+    it) that keep it alive.  ``key`` is ``(pin, id(value))`` while ``guard``
+    (a weakref) watches the value, ``None`` once it was collected or when it
+    cannot be recognised again."""
+
+    __slots__ = ("ref", "data", "owners", "key", "guard")
+
+    def __init__(self, ref: str, data: bytes) -> None:
+        self.ref = ref
+        self.data = data
+        self.owners: set[str] = set()
+        self.key: Optional[tuple] = None
+        self.guard: Optional[weakref.ref] = None
+
+
+def _apply(target: InProcessTransport, session: str, ops, triples, kept) -> None:
+    """Re-apply journaled ops, then task triples, in-process; ``kept(ref)``
+    is a kept value loaded into this process."""
     for kind, key, data in ops:
-        if kind == "share":
-            # A shm-backed share is a pickled ShippedObject: loading it
-            # attaches the segment here, so the fallback works over the same
-            # shared pages.
-            target.init_shared(session, key, pickle.loads(data))
+        if kind == "bind":
+            target.init_shared(session, key, kept(data))
         else:
             target.init_node(session, key, wirecodec.loads(data))
     for node_id, fn_bytes, args_bytes in triples:
@@ -411,22 +474,35 @@ class JournaledTransport(Transport):
     kind cannot start one) and stop them (:meth:`_shutdown`).  Everything
     else is written once, here:
 
-    * **Journal.**  Per session, every share and node init is journaled
-      before it is sent, and each worker's task batch when that worker
-      acknowledges it — whatever the other workers of the batch answered.
-      Node states carry their RNGs and tasks are pure, so re-applying the
-      journal rebuilds a node's state bit for bit.
+    * **Kept values.**  A shared value is kept on every worker while an
+      owner holds it: the fabric session that shipped it, every later
+      session that shares the same object, and the pin of the API session
+      in scope (the solve context's ``shm_pin``).  The key is ``(pin,
+      id(value))``, guarded by a weakref, so a later solve of the same
+      object in the same API session sends a reference, not the bytes.  A
+      value is dropped on the workers once its owners drain: at the release
+      of the last session, at the pin's release (``Session.close()``), or —
+      when its object was collected — at the next exchange.  Without a pin
+      (``repro.solve``, service tickets) a value lives exactly as long as
+      its session.
+    * **Journal.**  Each kept value is journaled once; per session, every
+      binding and node init is journaled before it is sent, and each
+      worker's task batch when that worker acknowledges it — whatever the
+      other workers of the batch answered.  Node states carry their RNGs
+      and tasks are pure, so re-applying the journal rebuilds a node's
+      state bit for bit.
     * **Recovery ladder.**  A lost worker (pipe EOF, socket loss, heartbeat
       expiry) surfaces as a retryable :class:`TransportFailure`.  Each of
       ``max_restarts`` attempts per failure moves the lost worker's slots to
       a fresh worker where the kind can start one, otherwise to a surviving
-      one, and replays the slots' journal onto it; the unacknowledged tasks
-      are then dispatched again.
+      one, and replays the slots' journal onto it — a fresh worker receives
+      the kept values first; the unacknowledged tasks are then dispatched
+      again.
     * **Degradation.**  When the attempts run out, the transport degrades
-      to an :class:`InProcessTransport` rebuilt from the journal and runs
-      there only what the journal lacks — still bit-identical — or, with
-      ``degrade=False``, raises a terminal ``TransportFailure(retryable=
-      False)``.
+      to an :class:`InProcessTransport` rebuilt from the journal, with each
+      kept value loaded once, and runs there only what the journal lacks —
+      still bit-identical — or, with ``degrade=False``, raises a terminal
+      ``TransportFailure(retryable=False)``.
 
     A task that raises inside a live worker is not a transport fault: its
     worker answers with the traceback, which surfaces as a
@@ -458,6 +534,17 @@ class JournaledTransport(Transport):
         self._fallback: Optional[InProcessTransport] = None
         self._journal: dict[str, _SessionJournal] = {}
         self._journal_lock = threading.Lock()
+        # Kept values by reference name, and by key while a weakref guards
+        # the object.  The weakref callbacks only note a collected key (they
+        # may fire inside a locked block); the next exchange drains it.
+        self._kept: dict[str, _Kept] = {}
+        self._kept_keys: dict[tuple, _Kept] = {}
+        self._collected: list[tuple] = []
+        self._unsent_drops: list[str] = []
+        self._fallback_kept: dict[str, Any] = {}
+        # Held from a kept-value lookup until its ship completes, so no
+        # session binds a value a worker has not received yet.
+        self._keep_lock = threading.Lock()
         # pickle.dumps(fn) per (session, fn): task functions are shipped by
         # reference and recur every round, so the dumps is paid once.
         self._fn_cache: dict[tuple[str, Any], bytes] = {}
@@ -529,11 +616,16 @@ class JournaledTransport(Transport):
         return alive
 
     def health(self) -> dict:
+        with self._journal_lock:
+            kept_bytes = sum(len(entry.data) for entry in self._kept.values())
+            kept_values = len(self._kept)
         return {
             "kind": self.name,
             "supervised": True,
             "degraded": self.degraded,
             "total_restarts": self.total_restarts,
+            "kept_values": kept_values,
+            "kept_bytes": kept_bytes,
         }
 
     # ------------------------------------------------------------------ #
@@ -541,11 +633,11 @@ class JournaledTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def _record(self, session: str, op: tuple) -> bool:
-        """Journal a share or init; ``False`` once degraded (the op then went
-        straight to the in-process fallback and must not be sent)."""
+        """Journal a binding or init; ``False`` once degraded (the op then
+        went straight to the in-process fallback and must not be sent)."""
         with self._journal_lock:
             if self._fallback is not None:
-                _apply(self._fallback, session, [op], [])
+                _apply(self._fallback, session, [op], [], self._loaded)
                 return False
             journal = self._journal.setdefault(session, _SessionJournal())
             journal.ops.append(op)
@@ -559,29 +651,104 @@ class JournaledTransport(Transport):
         the caller is about to return."""
         with self._journal_lock:
             if self._fallback is not None:
-                _apply(self._fallback, session, [], triples)
+                _apply(self._fallback, session, [], triples, self._loaded)
                 return
             tasks = self._journal.setdefault(session, _SessionJournal()).tasks
             for triple in triples:
                 tasks.setdefault(triple[0], []).append(triple)
 
-    def _replay(self, channel: Channel, slots: list[int], *, include_shares: bool) -> None:
+    def _loaded(self, ref: str) -> Any:
+        """A kept value loaded into this process for the fallback, once
+        (journal lock held)."""
+        if ref not in self._fallback_kept:
+            self._fallback_kept[ref] = pickle.loads(self._kept[ref].data)
+        return self._fallback_kept[ref]
+
+    def _keep(self, session: str, value: Any, shipped: Any) -> tuple[_Kept, bool]:
+        """The kept entry of ``value``, now owned by ``session`` too, and
+        whether it is new (its bytes must still be shipped).  ``shipped`` is
+        what travels: ``value`` itself, or its shared-memory handle.  Called
+        with the keep lock held."""
+        pin = solve_context().shm_pin
+        key = (pin, id(value))
+        with self._journal_lock:
+            self._drain_collected()
+            entry = self._kept_keys.get(key)
+            if entry is not None:
+                entry.owners.add(session)
+                return entry, False
+        entry = _Kept(f"v{next(_KEPT_COUNTER)}", pickle.dumps(shipped))
+        entry.owners.add(session)
+        collected = self._collected
+        try:
+            entry.guard = weakref.ref(value, lambda _ref: collected.append(key))
+        except TypeError:
+            pass  # never recognised again: it lives as long as its session
+        with self._journal_lock:
+            if entry.guard is not None:
+                entry.key = key
+                if pin is not None:
+                    entry.owners.add(pin)
+                self._kept_keys[key] = entry
+            self._kept[entry.ref] = entry
+        return entry, True
+
+    def _disown(self, entry: _Kept, owner: Optional[str]) -> None:
+        """Drop one owner; a drained value leaves the journal and is queued
+        for dropping on the workers (journal lock held)."""
+        entry.owners.discard(owner)
+        if entry.owners:
+            return
+        del self._kept[entry.ref]
+        if entry.key is not None:
+            del self._kept_keys[entry.key]
+        self._fallback_kept.pop(entry.ref, None)
+        self._unsent_drops.append(entry.ref)
+
+    def _drain_collected(self) -> None:
+        """End the pin's ownership of every collected object (journal lock
+        held); its sessions keep the value until they are released."""
+        while self._collected:
+            key = self._collected.pop()
+            entry = self._kept_keys.pop(key, None)
+            if entry is not None:
+                entry.key = None
+                self._disown(entry, key[0])
+
+    def _send_drops(self) -> None:
+        """Tell every worker to forget the kept values no owner holds (at
+        every exchange, so a collected object's value goes at the next)."""
+        if not (self._collected or self._unsent_drops):
+            return
+        with self._journal_lock:
+            self._drain_collected()
+            refs, self._unsent_drops = self._unsent_drops, []
+        if refs and self._started and self._fallback is None:
+            for slot in range(self.max_workers):
+                try:
+                    self._request(slot, ("drop", refs))
+                except CommunicationError:
+                    pass  # a lost worker holds nothing worth dropping
+
+    def _replay(self, channel: Channel, slots: list[int], *, fresh: bool) -> None:
         """Rebuild ``slots``' node states on ``channel`` from the journal.
 
-        Shares went to every worker when they were installed, so only a
-        fresh worker needs them again.  Acknowledged tasks re-run to bring
-        each node to its pre-failure state; their results are discarded
-        (they were returned to the caller before the failure).
+        Kept values and bindings went to every worker when they were
+        installed, so only a fresh worker needs them again, kept values
+        first.  Acknowledged tasks re-run to bring each node to its
+        pre-failure state; their results are discarded (they were returned
+        to the caller before the failure).
         """
         wanted = set(slots)
         with self._journal_lock:
+            kept = list(self._kept.values()) if fresh else []
             snapshot = [
                 (
                     session,
                     [
                         op
                         for op in journal.ops
-                        if (op[0] == "share" and include_shares)
+                        if (op[0] == "bind" and fresh)
                         or (op[0] == "init" and self._slot_for(op[1]) in wanted)
                     ],
                     [
@@ -593,6 +760,8 @@ class JournaledTransport(Transport):
                 )
                 for session, journal in self._journal.items()
             ]
+        for entry in kept:
+            self._unwrap(channel, channel.request(("keep", entry.ref, entry.data)))
         for session, ops, triples in snapshot:
             for kind, key, data in ops:
                 self._unwrap(channel, channel.request((kind, session, key, data)))
@@ -623,7 +792,7 @@ class JournaledTransport(Transport):
                         break
                     replacement = min(survivors, key=lambda c: c.number)
                 try:
-                    self._replay(replacement, slots, include_shares=fresh)
+                    self._replay(replacement, slots, fresh=fresh)
                 except TransportFailure:
                     if fresh:
                         replacement.discard()
@@ -663,7 +832,7 @@ class JournaledTransport(Transport):
         with self._journal_lock:
             for session, journal in self._journal.items():
                 triples = [t for node_tasks in journal.tasks.values() for t in node_tasks]
-                _apply(fallback, session, journal.ops, triples)
+                _apply(fallback, session, journal.ops, triples, self._loaded)
             self._fallback = fallback
             self.degraded = True
         self._shutdown()
@@ -686,9 +855,10 @@ class JournaledTransport(Transport):
 
     def _request(self, slot: int, message: tuple) -> Any:
         """One request with recover-on-failure, for the messages a recovery
-        makes unnecessary to re-send (share / init are journaled before they
-        are sent, a released session is out of the journal, a ping has done
-        its job): ``None`` after a recovery or once degraded."""
+        makes unnecessary to re-send (keep / bind / init are journaled
+        before they are sent, a released session or dropped value is out of
+        the journal, a ping has done its job): ``None`` after a recovery or
+        once degraded."""
         if self._fallback is not None:
             return None
         channel = self._slots[slot]
@@ -760,28 +930,37 @@ class JournaledTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def init_shared(self, session: str, key: str, value: Any) -> None:
-        """Ship one session-shared object to every worker, once each.
+        """Give a session one shared object; ship it only to workers that
+        do not keep it already.
 
-        With ``shared_memory`` the object's large contiguous arrays are
-        exported to a POSIX shared-memory segment owned by this session
-        (plus any ambient pin, e.g. the API session's lifetime token); the
-        pickle shipped — and journaled — then carries a segment *reference*,
-        every worker maps the same physical pages, and a replay re-maps them.
+        The first session to share an object ships its pickle to every
+        worker, which keeps it; every later session that shares the same
+        object under the same pin sends only the reference (see "Kept
+        values" above).  With ``shared_memory`` the object's large
+        contiguous arrays are exported to a POSIX shared-memory segment
+        owned by the same owners; the pickle shipped — and journaled — then
+        carries a segment *reference*, every worker maps the same physical
+        pages, and a replay re-maps them.
         """
         if self._fallback is not None:
             return self._fallback.init_shared(session, key, value)
         self._ensure_started()
-        if self.shared_memory:
-            value = shm.store().export(value, owner=session)
-        value_bytes = pickle.dumps(value)
-        if self._record(session, ("share", key, value_bytes)):
+        self._send_drops()
+        shipped = shm.store().export(value, owner=session) if self.shared_memory else value
+        with self._keep_lock:
+            entry, new = self._keep(session, value, shipped)
+            if new:
+                for slot in range(self.max_workers):
+                    self._request(slot, ("keep", entry.ref, entry.data))
+        if self._record(session, ("bind", key, entry.ref)):
             for slot in range(self.max_workers):
-                self._request(slot, ("share", session, key, value_bytes))
+                self._request(slot, ("bind", session, key, entry.ref))
 
     def init_node(self, session: str, node_id: int, state: Any) -> None:
         if self._fallback is not None:
             return self._fallback.init_node(session, node_id, state)
         self._ensure_started()
+        self._send_drops()
         state_bytes = wirecodec.dumps(state)
         if self._record(session, ("init", node_id, state_bytes)):
             self._request(self._slot_for(node_id), ("init", session, node_id, state_bytes))
@@ -790,6 +969,7 @@ class JournaledTransport(Transport):
         if self._fallback is not None:
             return self._fallback.run_nodes(session, node_ids, fn, args_list)
         self._ensure_started()
+        self._send_drops()
         plan = self._active_plan()
         if plan is not None:
             for slot in sorted({self._slot_for(node_id) for node_id in node_ids}):
@@ -840,13 +1020,21 @@ class JournaledTransport(Transport):
         return decode_payload(payload.to_bytes())
 
     def release(self, session: str) -> None:
+        """Drop one session's node states and its ownership of kept values.
+
+        ``session`` may also be a pin: ``Session.close()`` releases its own,
+        which drops the values only the pin kept.  Workers hear of a
+        session only if it installed something.
+        """
         with self._journal_lock:
-            self._journal.pop(session, None)
+            journal = self._journal.pop(session, None)
+            for entry in list(self._kept.values()):
+                self._disown(entry, session)
         with self._fn_cache_lock:
             for cache_key in [k for k in self._fn_cache if k[0] == session]:
                 del self._fn_cache[cache_key]
         try:
-            if self._started and self._fallback is None:
+            if journal is not None and self._started and self._fallback is None:
                 for slot in range(self.max_workers):
                     try:
                         self._request(slot, ("release", session))
@@ -854,6 +1042,7 @@ class JournaledTransport(Transport):
                         pass  # a lost worker holds no state worth releasing
             if self._fallback is not None:
                 self._fallback.release(session)
+            self._send_drops()
         finally:
             # Even with a worker unreachable, the session's shm ownership must
             # drain — a crashed worker cannot keep a segment pinned.
@@ -863,6 +1052,10 @@ class JournaledTransport(Transport):
         self._closed = True
         with self._journal_lock:
             self._journal.clear()
+            self._kept.clear()
+            self._kept_keys.clear()
+            self._unsent_drops.clear()
+            self._fallback_kept.clear()
         self._fallback = None
         if self._started:
             self._shutdown()

@@ -10,9 +10,15 @@ shipped over the TCP wire has to resolve from an importable module.
 from __future__ import annotations
 
 from .. import kernels
+from ..fabric.transport import kept_values
 from ..kernels import blas
 
-__all__ = ["blas_threads_task", "transport_probe_task", "transport_ready_task"]
+__all__ = [
+    "blas_threads_task",
+    "kept_values_task",
+    "transport_probe_task",
+    "transport_ready_task",
+]
 
 
 def transport_probe_task(state, lo, hi, round_index):
@@ -42,3 +48,9 @@ def blas_threads_task(state):
     with kernels.use_backend(state.get("kernel")):
         inside = blas.thread_counts()
     return state, (inside, blas.thread_counts())
+
+
+def kept_values_task(state):
+    """Per-node task: the reference names of the values this node's worker
+    keeps across sessions, sorted (empty in-process)."""
+    return state, sorted(kept_values())

@@ -26,6 +26,7 @@ from repro.core.exceptions import CommunicationError
 from repro.fabric import wirecodec
 from repro.fabric.transport import SharedRef, resolve_transport, worker_loop
 from repro.resilience import FaultPlan, FaultSpec
+from repro.workloads.transport_probe import kept_values_task
 
 
 def counter_task(state, step, fail):
@@ -106,6 +107,44 @@ def test_pipe_worker_and_agent_answer_alike():
     assert ping == ("ok", "pong")
     assert unknown == ("error", "unknown command 'bogus'")
     assert failed[0] == "error" and "deliberate task failure" in failed[1]
+
+
+def _task(fn, *args) -> tuple:
+    return (0, pickle.dumps(fn), wirecodec.dumps(args))
+
+
+#: A value kept under "v0" serves two sessions, outlives the first one's
+#: release, and is gone after the drop.
+KEPT_COMMANDS = [
+    ("keep", "v0", pickle.dumps(2.5)),
+    ("bind", "s", "bias", "v0"),
+    ("init", "s", 0, wirecodec.dumps({"count": 0, "bias": SharedRef("bias")})),
+    ("run", "s", [_task(biased_task, 3)]),
+    ("release", "s"),
+    ("bind", "t", "bias", "v0"),
+    ("init", "t", 0, wirecodec.dumps({"count": 1, "bias": SharedRef("bias")})),
+    ("run", "t", [_task(kept_values_task), _task(biased_task, 3)]),
+    ("drop", ["v0"]),
+    ("run", "t", [_task(kept_values_task)]),
+    ("bind", "u", "bias", "v0"),
+    ("stop",),
+]
+
+
+def test_kept_value_commands_answer_alike(monkeypatch):
+    monkeypatch.setitem(globals(), "COMMANDS", KEPT_COMMANDS)
+    over_pipe = _pipe_replies()
+    over_socket = _agent_replies()
+    assert over_pipe == over_socket
+    keep, bind, init, run, release, rebind, reinit, probe, drop, gone, unbound, stop = (
+        over_pipe
+    )
+    assert keep == bind == init == release == rebind == reinit == drop == stop == ("ok", None)
+    assert [wirecodec.loads(r) for r in run[1]] == [(3, 2.5)]
+    held, biased = (wirecodec.loads(r) for r in probe[1])
+    assert list(held) == ["v0"] and biased == (4, 2.5)
+    assert [list(wirecodec.loads(r)) for r in gone[1]] == [[]]
+    assert unbound[0] == "error" and "KeyError" in unbound[1]
 
 
 # ---------------------------------------------------------------------- #
