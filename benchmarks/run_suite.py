@@ -383,9 +383,9 @@ def _transport_cell(problem, workers: int, wire: str, rounds: int, repeats: int)
     else:
         transport = ProcessPoolTransport(max_workers=workers, shared_memory=shared_memory)
     transport.warm_up()
-    # ``warm_up`` starts the processes but returns before they finish booting
-    # (interpreter + imports, ~1s under ``spawn``).  Run one throwaway round
-    # so every timed repeat measures dispatch, not worker start-up.
+    # ``warm_up`` returns once every worker has booted (interpreter + imports,
+    # ~1s under ``spawn``).  One throwaway round also makes each worker import
+    # the probe tasks' module, so every timed repeat measures dispatch.
     ready = new_session()
     for node in range(workers):
         transport.init_node(ready, node, {"node": node})

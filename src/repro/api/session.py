@@ -55,8 +55,7 @@ from ..core.context import solve_scope
 from ..core.exceptions import InvalidConfigError, RegistryError, SessionError
 from ..core.result import ResourceUsage, SolveResult, WarmStats
 from ..resilience.faults import RecoveryNotes
-from ..fabric import shm
-from ..fabric.transport import Transport, transport_for
+from ..fabric.transport import Transport, new_pin_token, transport_for
 from .config import SolverConfig
 from .facade import build_config
 from .registry import ModelSpec, get_family, get_model
@@ -304,11 +303,12 @@ class Session:
         # driver will ever talk to would be pure waste.
         self._transport: Optional[Transport] = None
         self._owns_transport = False
-        # The values this session's solves keep on the workers (and their
-        # shared-memory exports) are co-owned by this pin, so the problem
-        # outlives the per-solve fabric sessions: a later solve of the same
-        # object ships nothing.  close() releases it.  Ephemeral shims have
-        # no pin: their values live as long as one solve.
+        # The values this session's solves keep on the workers (and with
+        # them their shared-memory segments) are co-owned by this pin while
+        # their objects live, so the problem outlives the per-solve fabric
+        # sessions: a later solve of the same object ships nothing.  close()
+        # releases it.  Ephemeral shims have no pin: their values live as
+        # long as one solve.
         self._pin: Optional[str] = None
         if (
             transport_cfg is not None
@@ -321,7 +321,7 @@ class Session:
             self._owns_transport = self._transport.private
             self._transport.private = False
             if self._warm_tracking:
-                self._pin = shm.new_pin_token()
+                self._pin = new_pin_token()
             if self._warm_tracking or self._owns_transport:
                 # Explicit sessions pay spin-up now; ephemeral shims leave
                 # shared transports lazy (the first solve starts them, exactly
@@ -346,8 +346,8 @@ class Session:
         self._closed = True
         try:
             if self._pin is not None:
-                # Kept values and shared segments whose owner set drains
-                # here are dropped on every worker and unlinked now,
+                # Kept values whose owner set drains here are dropped on
+                # every worker, and their segments unlinked, now and
                 # deterministically — on a shared transport too.
                 self._transport.release(self._pin)
                 self._pin = None

@@ -14,7 +14,6 @@ registry -> agent   ``("welcome", {version, agent_id,
                     heartbeat_interval_s})``                        —
 registry -> agent   ``("reject", reason)``                          —
 agent -> registry   ``("hb", seq)`` (async, every interval)         —
-registry -> agent   ``("share", session, key, value_bytes)``        ``("ok", None)``
 registry -> agent   ``("keep", ref, value_bytes)``                  ``("ok", None)``
 registry -> agent   ``("bind", session, key, ref)``                 ``("ok", None)``
 registry -> agent   ``("drop", [ref, ...])``                        ``("ok", None)``

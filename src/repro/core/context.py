@@ -13,8 +13,9 @@ matters:
 * the transports consult ``fault_plan`` on every delivery, and the
   process and TCP transports report into ``recovery``;
 * :func:`~repro.fabric.transport.resolve_transport` hands out ``transport``
-  when its kind matches, and the shared-memory store and the process and
-  TCP transports co-own every export and kept value under ``shm_pin``.
+  when its kind matches, and the process and TCP transports' kept-value
+  table co-owns every value shared in scope — and with it the value's
+  shared-memory segment — under ``shm_pin``.
 
 :func:`solve_scope` installs a copy of the current context with some fields
 replaced for the extent of a ``with`` block.  A field passed as ``None`` is
@@ -64,9 +65,10 @@ class SolveContext:
         The session's long-lived :class:`~repro.fabric.transport.Transport`,
         handed to every driver that asks for a transport of its kind.
     shm_pin:
-        Owner token that co-owns every shared-memory export and every value
-        a transport keeps on its workers in scope, so they outlive one solve
-        (the API session's pin).
+        Owner token that co-owns every value a transport keeps on its
+        workers in scope, and with it the value's shared-memory segment,
+        while the value's object lives, so it outlives one solve (the API
+        session's pin).
     """
 
     meter: Optional["BudgetMeter"] = None

@@ -42,7 +42,6 @@ from .transport import (
     ProcessPoolTransport,
     Transport,
     resolve_transport,
-    shared_process_transport,
 )
 from .topology import (
     GridTopology,
@@ -70,7 +69,6 @@ __all__ = [
     "JournaledTransport",
     "ProcessPoolTransport",
     "resolve_transport",
-    "shared_process_transport",
     "Topology",
     "StarTopology",
     "TreeTopology",

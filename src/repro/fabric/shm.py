@@ -14,15 +14,12 @@ This module replaces the copies with one shared segment:
   degraded in-process fallback) maps the segment and reconstructs
   **read-only NumPy views** over the shared pages: every worker sees the
   same physical memory, and per-worker RSS stops scaling with the problem.
-* Lifetime is refcounted by *owner tokens*: the fabric session that shipped
-  the object always owns the segment, and the solve context's ``shm_pin``
-  (installed by the API session) can extend it across solves — but not
-  beyond the object: once the exported object is collected, the pins no
-  longer own its segment.  The segment is unlinked the moment its owner set
-  drains — session release, ``Session.close()``, the object's collection —
-  and an ``atexit`` sweep unlinks anything that survives, so a crashed
-  worker can never leak a segment (workers only ever *attach*; the creating
-  process owns the name).
+* Each segment has one owner token, named at :meth:`SharedPackStore.export`
+  and unlinked at :meth:`SharedPackStore.release_owner`.  The owner is the
+  transports' kept-value table (:mod:`repro.fabric.transport`), which ends
+  a segment with the value that shipped it; an ``atexit`` sweep unlinks
+  anything that survives, so a crashed worker can never leak a segment
+  (workers only ever *attach*; the creating process owns the name).
 
 Python 3.11's ``resource_tracker`` registers every segment it sees — in the
 creator *and* in every attaching process — and unlinks them when the first
@@ -39,20 +36,16 @@ import itertools
 import os
 import pickle
 import threading
-import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 import numpy as np
-
-from ..core.context import solve_context
 
 __all__ = [
     "SharedPackStore",
     "ShippedObject",
     "store",
     "shared_memory_supported",
-    "new_pin_token",
     "leaked_segments",
 ]
 
@@ -61,13 +54,12 @@ SEGMENT_PREFIX = "repro_shm_"
 
 #: Arrays below this many bytes ride the ordinary pickle (framing a shared
 #: segment around a few hundred bytes costs more than it saves).
-MIN_SHARED_BYTES = int(os.environ.get("REPRO_SHM_MIN_BYTES", 4096))
+MIN_SHARED_BYTES = 4096
 
 #: Per-array alignment inside a segment (cache-line friendly, SIMD safe).
 _ALIGN = 64
 
 _SEGMENT_COUNTER = itertools.count()
-_PIN_COUNTER = itertools.count()
 
 
 _TRACKER_LOCK = threading.Lock()
@@ -238,7 +230,7 @@ class _Attachment:
 
 
 #: Segments this process has *attached* (worker side, or the parent's
-#: degraded fallback), keyed by name.  Refcounts are per tracked session.
+#: degraded fallback), keyed by name.  Refcounts are per kept value.
 _ATTACHMENTS: dict[str, _Attachment] = {}
 _DEFERRED_CLOSES: set[str] = set()
 _ATTACH_LOCK = threading.Lock()
@@ -273,7 +265,7 @@ def track_attachments() -> Iterator[set[str]]:
 
 
 def retain_attachments(names: set[str]) -> None:
-    """Bump the attach refcount (one session now depends on these maps)."""
+    """Bump the attach refcount (one kept value now depends on these maps)."""
     with _ATTACH_LOCK:
         for name in names:
             attachment = _ATTACHMENTS.get(name)
@@ -282,7 +274,7 @@ def retain_attachments(names: set[str]) -> None:
 
 
 def release_attachments(names: set[str]) -> None:
-    """Drop one session's refs; unmap segments nobody references anymore."""
+    """Drop one kept value's refs; unmap segments nobody references anymore."""
     with _ATTACH_LOCK:
         for name in names:
             attachment = _ATTACHMENTS.get(name)
@@ -330,52 +322,22 @@ class ShippedObject:
         return _attach_shipped(self.segment_name, self.directory, self.payload)
 
 
-class _Export:
-    __slots__ = ("name", "segment", "shipped", "owners", "pins", "nbytes")
-
-    def __init__(self, name, segment, shipped, nbytes) -> None:
-        self.name = name
-        self.segment = segment
-        self.shipped = shipped
-        self.owners: set[str] = set()
-        # The owners that came from the ambient pin: they own the segment
-        # only while the exported object lives.
-        self.pins: set[str] = set()
-        self.nbytes = nbytes
-
-    def own(self, owner: str, pin: Optional[str]) -> None:
-        self.owners.add(owner)
-        if pin is not None:
-            self.owners.add(pin)
-            self.pins.add(pin)
-
-
 class SharedPackStore:
-    """Creator-side registry of exported segments (one per process).
+    """Creator-side table of exported segments (one per process).
 
     ``export(value, owner)`` spills ``value``'s large arrays into one fresh
-    segment (or reuses a live export of the *same object*, adding ``owner``
-    to its refcount) and returns the :class:`ShippedObject` handle.
-    ``release_owner(owner)`` drops that owner everywhere and unlinks every
-    segment whose owner set drained.  When an exported object is collected,
-    its segment loses its pin owners at the store's next call, and is
-    unlinked if no fabric session still owns it.  All methods are
+    segment owned by ``owner`` and returns the :class:`ShippedObject`
+    handle; ``release_owner(owner)`` unlinks every segment ``owner`` owns.
+    The store does not decide when a segment ends: its owner does (the
+    transports' kept-value table, which gives each segment one owner, the
+    reference name of the value that shipped it).  All methods are
     thread-safe.
     """
 
     def __init__(self) -> None:
-        self._exports: dict[str, _Export] = {}
-        self._by_object: dict[int, str] = {}
-        # The weakrefs themselves must stay alive for their eviction
-        # callbacks to fire (a collected weakref never calls back).
-        self._refs: dict[int, weakref.ref] = {}
-        # (object id, segment name) of collected objects.  A callback may
-        # fire inside a locked block, so it only appends here; the next
-        # call drains the list under the lock.
-        self._collected: list[tuple[int, str]] = []
+        # Segment name -> (owner, segment).
+        self._exports: dict[str, tuple[str, Any]] = {}
         self._lock = threading.Lock()
-
-    # -- export ---------------------------------------------------------- #
 
     def export(self, value: Any, owner: str) -> Any:
         """A :class:`ShippedObject` for ``value`` (or ``value`` unchanged).
@@ -383,14 +345,6 @@ class SharedPackStore:
         Objects without a single qualifying array are returned as-is: no
         empty segments, and the caller's ordinary pickle path applies.
         """
-        pin = solve_context().shm_pin
-        with self._locked():
-            name = self._by_object.get(id(value))
-            export = self._exports.get(name) if name is not None else None
-            if export is not None:
-                export.own(owner, pin)
-        if export is not None:
-            return export.shipped
         prepare = getattr(value, "prepare_for_export", None)
         if prepare is not None:
             # Materialise derived constraint-plane arrays (the pack, above
@@ -415,57 +369,9 @@ class SharedPackStore:
             dest[...] = arr
             del dest
             directory.append((offset, arr.dtype.str, arr.shape))
-        shipped = ShippedObject(
-            segment.name, tuple(directory), buffer.getvalue(), nbytes=total
-        )
-        export = _Export(segment.name, segment, shipped, total)
-        export.own(owner, pin)
         with self._lock:
-            self._exports[segment.name] = export
-            try:
-                ref = weakref.ref(value, self._make_evictor(id(value), segment.name))
-            except TypeError:
-                # Never recognised again, so no pin can reuse it: the
-                # segment lives as long as its sessions.
-                export.owners -= export.pins
-                export.pins.clear()
-            else:
-                self._by_object[id(value)] = segment.name
-                self._refs[id(value)] = ref
-        return shipped
-
-    def _make_evictor(self, obj_id: int, name: str):
-        collected = self._collected
-
-        def _evict(_ref: Any) -> None:
-            collected.append((obj_id, name))
-
-        return _evict
-
-    @contextmanager
-    def _locked(self) -> Iterator[list[_Export]]:
-        """The store's lock, entered after forgetting collected objects and
-        ending their pins' ownership.  Yields the list of exports left with
-        no owner (callers may add to it); they are unlinked on exit."""
-        doomed: list[_Export] = []
-        try:
-            with self._lock:
-                while self._collected:
-                    obj_id, name = self._collected.pop()
-                    if self._by_object.get(obj_id) == name:
-                        del self._by_object[obj_id]
-                        self._refs.pop(obj_id, None)
-                    export = self._exports.get(name)
-                    if export is None:
-                        continue
-                    export.owners -= export.pins
-                    export.pins.clear()
-                    if not export.owners:
-                        doomed.append(self._exports.pop(name))
-                yield doomed
-        finally:
-            for export in doomed:
-                _unlink_segment(export.segment)
+            self._exports[segment.name] = (owner, segment)
+        return ShippedObject(segment.name, tuple(directory), buffer.getvalue(), nbytes=total)
 
     def _create_segment(self, size: int):
         while True:
@@ -475,51 +381,25 @@ class SharedPackStore:
             except FileExistsError:  # pragma: no cover - pid reuse
                 continue
 
-    # -- lifetime -------------------------------------------------------- #
-
-    def adopt(self, segment_name: str, owner: str) -> None:
-        """Add one owner to a live export (no-op for unknown segments)."""
-        with self._locked():
-            export = self._exports.get(segment_name)
-            if export is not None:
-                export.owners.add(owner)
-
     def release_owner(self, owner: str) -> None:
-        """Drop ``owner`` everywhere; unlink exports left with no owner."""
-        with self._locked() as doomed:
-            for name, export in list(self._exports.items()):
-                export.owners.discard(owner)
-                export.pins.discard(owner)
-                if not export.owners:
-                    doomed.append(self._exports.pop(name))
-            if doomed:
-                names = {export.name for export in doomed}
-                for obj_id, name in list(self._by_object.items()):
-                    if name in names:
-                        del self._by_object[obj_id]
-                        self._refs.pop(obj_id, None)
+        """Unlink every segment ``owner`` owns (a no-op when it owns none)."""
+        with self._lock:
+            names = [name for name, (held_by, _) in self._exports.items() if held_by == owner]
+            doomed = [self._exports.pop(name)[1] for name in names]
+        for segment in doomed:
+            _unlink_segment(segment)
 
     def unlink_all(self) -> None:
         """Unlink every export regardless of owners (the ``atexit`` sweep)."""
         with self._lock:
-            doomed = list(self._exports.values())
+            doomed = [segment for _, segment in self._exports.values()]
             self._exports.clear()
-            self._by_object.clear()
-            self._refs.clear()
-            self._collected.clear()
-        for export in doomed:
-            _unlink_segment(export.segment)
-
-    # -- introspection --------------------------------------------------- #
+        for segment in doomed:
+            _unlink_segment(segment)
 
     def segment_names(self) -> list[str]:
-        with self._locked():
+        with self._lock:
             return sorted(self._exports)
-
-    def owners_of(self, segment_name: str) -> set[str]:
-        with self._locked():
-            export = self._exports.get(segment_name)
-            return set(export.owners) if export is not None else set()
 
 
 _STORE = SharedPackStore()
@@ -528,24 +408,6 @@ _STORE = SharedPackStore()
 def store() -> SharedPackStore:
     """The process-wide :class:`SharedPackStore`."""
     return _STORE
-
-
-# --------------------------------------------------------------------- #
-# Pins (the API session's cross-solve lifetime)
-# --------------------------------------------------------------------- #
-
-
-def new_pin_token() -> str:
-    """A fresh owner token for a long-lived pin (one per API session).
-
-    The API session installs its token as the solve context's ``shm_pin``
-    around each solve: every segment exported in scope — and every value a
-    process or TCP transport keeps on its workers — is co-owned by the
-    token, so it survives the per-solve fabric session release and is
-    reused by the next solve of the same object, with the deterministic
-    release moved to ``Session.close()`` or to the object's collection.
-    """
-    return f"pin{next(_PIN_COUNTER)}"
 
 
 # --------------------------------------------------------------------- #

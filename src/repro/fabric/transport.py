@@ -19,7 +19,9 @@ is served by a worker running :func:`worker_loop` over its channel, task
 functions travel pickled by reference, args and results through their
 canonical wire bytes, shared values are kept on the workers for as long as
 an owner holds them (so an API session ships its problem once, not once per
-solve), and a journal lets a lost worker be replaced without changing a bit.
+solve; the same table of owners decides when a value's shared-memory
+segment is unlinked), and a journal lets a lost worker be replaced without
+changing a bit.
 
 All run the *same* task functions on the *same* per-node states (RNG
 generators ship inside the state, so random streams advance identically),
@@ -62,19 +64,32 @@ __all__ = [
     "JournaledTransport",
     "ProcessPoolTransport",
     "kept_values",
+    "new_pin_token",
     "resolve_transport",
-    "shared_process_transport",
     "transport_for",
     "worker_loop",
 ]
 
 _SESSION_COUNTER = itertools.count()
+_PIN_COUNTER = itertools.count()
 _KEPT_COUNTER = itertools.count()
 
 
 def new_session() -> str:
     """A process-unique session key for one solve's node states."""
     return f"s{next(_SESSION_COUNTER)}"
+
+
+def new_pin_token() -> str:
+    """A fresh owner token for a long-lived pin (one per API session).
+
+    The API session installs its token as the solve context's ``shm_pin``
+    around each solve: every value a process or TCP transport keeps on its
+    workers in scope — and with it the value's shared-memory segment — is
+    co-owned by the token while its object lives, so the next solve of the
+    same object ships nothing.  ``Session.close()`` releases the token.
+    """
+    return f"pin{next(_PIN_COUNTER)}"
 
 
 @dataclass(frozen=True)
@@ -223,25 +238,6 @@ def kept_values() -> dict:
     return dict(getattr(_WORKER, "kept", {}))
 
 
-def _load_shared(value_bytes: bytes, segments: dict, holder: str) -> Any:
-    """Unpickle a shared value; its holder retains the segments it attached."""
-    with shm.track_attachments() as seen:
-        value = pickle.loads(value_bytes)
-    if seen:
-        known = segments.setdefault(holder, set())
-        fresh = seen - known
-        if fresh:
-            shm.retain_attachments(fresh)
-            known.update(fresh)
-    return value
-
-
-def _unmap(segments: dict, holder: str) -> None:
-    names = segments.pop(holder, None)
-    if names:
-        shm.release_attachments(names)
-
-
 def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     """The command loop of every worker: pool processes and node agents.
 
@@ -253,7 +249,6 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     ========================================================  ===================
     command                                                   ``ok`` body
     ========================================================  ===================
-    ``("share", session, key, value_bytes)``                  ``None``
     ``("keep", ref, value_bytes)``                            ``None``
     ``("bind", session, key, ref)``                           ``None``
     ``("drop", [ref, ...])``                                  ``None``
@@ -267,21 +262,19 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     A raising task answers ``("error", traceback)`` and an unknown command
     ``("error", "unknown command ...")``; neither ends the loop, which
     returns on ``stop`` or when the channel closes.  Shared values arrive as
-    pickles.  ``share`` gives one session a value that ``release`` drops
-    with it; ``keep`` holds a value under a reference name until ``drop``,
+    pickles: ``keep`` holds a value under a reference name until ``drop``,
     and ``bind`` gives a session a kept value, so one value serves many
     sessions and ships once.  A pickled :class:`~repro.fabric.shm.ShippedObject`
     re-attaches the parent's segment, so the worker maps the same physical
-    pages; the mapping lives as long as the session or the kept value that
-    attached it — a long-lived worker must not accumulate maps of unlinked
-    segments.  Task functions are cached per pickle (they recur every
-    round); args and results travel through the pickle-free frame codec.
+    pages; the mapping lives as long as the kept value that attached it —
+    a long-lived worker must not accumulate maps of unlinked segments.
+    Task functions are cached per pickle (they recur every round); args and
+    results travel through the pickle-free frame codec.
     """
     states: dict[tuple[str, int], Any] = {}
     shared: dict[tuple[str, str], Any] = {}
     kept: dict[str, Any] = {}
     fn_cache: dict[bytes, Any] = {}
-    session_segments: dict[str, set[str]] = {}
     kept_segments: dict[str, set[str]] = {}
     _WORKER.kept = kept
     while True:
@@ -292,12 +285,12 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
         command = message[0]
         reply: tuple = ("ok", None)
         try:
-            if command == "share":
-                _, session, key, value_bytes = message
-                shared[(session, key)] = _load_shared(value_bytes, session_segments, session)
-            elif command == "keep":
+            if command == "keep":
                 _, ref, value_bytes = message
-                kept[ref] = _load_shared(value_bytes, kept_segments, ref)
+                with shm.track_attachments() as seen:
+                    kept[ref] = pickle.loads(value_bytes)
+                shm.retain_attachments(seen)
+                kept_segments[ref] = seen
             elif command == "bind":
                 _, session, key, ref = message
                 shared[(session, key)] = kept[ref]
@@ -305,7 +298,7 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
                 _, refs = message
                 for ref in refs:
                     kept.pop(ref, None)
-                    _unmap(kept_segments, ref)
+                    shm.release_attachments(kept_segments.pop(ref, set()))
             elif command == "init":
                 _, session, node_id, state_bytes = message
                 states[(session, node_id)] = _resolve_shared(
@@ -332,7 +325,6 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
                     del states[key]
                 for key in [k for k in shared if k[0] == session]:
                     del shared[key]
-                _unmap(session_segments, session)
             elif command != "stop":
                 reply = ("error", f"unknown command {command!r}")
         except BaseException:
@@ -435,19 +427,30 @@ class _SessionJournal:
 
 class _Kept:
     """One shared value every worker keeps: its pickle, journaled once, and
-    the owners (fabric sessions, and the pin of the API session that shipped
-    it) that keep it alive.  ``key`` is ``(pin, id(value))`` while ``guard``
-    (a weakref) watches the value, ``None`` once it was collected or when it
-    cannot be recognised again."""
+    the owners that keep it alive — fabric sessions, and the pins of the
+    API sessions that shared it (``pins``, which own it only while its
+    object lives).  ``key`` is ``id(value)`` while ``guard`` (a weakref)
+    watches the value, ``None`` once it was collected or when it cannot be
+    recognised again.  ``ref`` names the value on the workers and owns its
+    shared-memory segment, if any."""
 
-    __slots__ = ("ref", "data", "owners", "key", "guard")
+    __slots__ = ("ref", "data", "owners", "pins", "key", "guard")
 
     def __init__(self, ref: str, data: bytes) -> None:
         self.ref = ref
         self.data = data
         self.owners: set[str] = set()
-        self.key: Optional[tuple] = None
+        self.pins: set[str] = set()
+        self.key: Optional[int] = None
         self.guard: Optional[weakref.ref] = None
+
+    def own(self, session: str, pin: Optional[str]) -> None:
+        """Add a fabric session, and the pin in scope while the value is
+        recognised by its object (a pin owns only a live object's value)."""
+        self.owners.add(session)
+        if pin is not None and self.key is not None:
+            self.owners.add(pin)
+            self.pins.add(pin)
 
 
 def _apply(target: InProcessTransport, session: str, ops, triples, kept) -> None:
@@ -474,17 +477,20 @@ class JournaledTransport(Transport):
     kind cannot start one) and stop them (:meth:`_shutdown`).  Everything
     else is written once, here:
 
-    * **Kept values.**  A shared value is kept on every worker while an
-      owner holds it: the fabric session that shipped it, every later
-      session that shares the same object, and the pin of the API session
-      in scope (the solve context's ``shm_pin``).  The key is ``(pin,
-      id(value))``, guarded by a weakref, so a later solve of the same
-      object in the same API session sends a reference, not the bytes.  A
-      value is dropped on the workers once its owners drain: at the release
-      of the last session, at the pin's release (``Session.close()``), or —
-      when its object was collected — at the next exchange.  Without a pin
-      (``repro.solve``, service tickets) a value lives exactly as long as
-      its session.
+    * **Kept values.**  The kept-value table is the one owner registry of
+      shared values.  A value is kept on every worker while an owner holds
+      it: the fabric session that shipped it, every later session that
+      shares the same object, and the pin of each API session in scope
+      (the solve context's ``shm_pin``).  The key is the live object
+      (``id(value)``, guarded by a weakref), so a later solve of the same
+      object sends a reference, not the bytes.  With ``shared_memory`` the
+      value's segment is owned by its reference name alone.  A value is
+      dropped on the workers, and its segment unlinked, once its owners
+      drain: at the release of the last session, at the last pin's release
+      (``Session.close()``), at :meth:`close`, or — a pin owns only while
+      the object lives — at the next exchange after its object was
+      collected.  Without a pin (``repro.solve``, service tickets) a value
+      lives exactly as long as its sessions.
     * **Journal.**  Each kept value is journaled once; per session, every
       binding and node init is journaled before it is sent, and each
       worker's task batch when that worker acknowledges it — whatever the
@@ -534,12 +540,12 @@ class JournaledTransport(Transport):
         self._fallback: Optional[InProcessTransport] = None
         self._journal: dict[str, _SessionJournal] = {}
         self._journal_lock = threading.Lock()
-        # Kept values by reference name, and by key while a weakref guards
-        # the object.  The weakref callbacks only note a collected key (they
-        # may fire inside a locked block); the next exchange drains it.
+        # Kept values by reference name, and by object id while a weakref
+        # guards the object.  The weakref callbacks only note a collected id
+        # (they may fire inside a locked block); the next exchange drains it.
         self._kept: dict[str, _Kept] = {}
-        self._kept_keys: dict[tuple, _Kept] = {}
-        self._collected: list[tuple] = []
+        self._by_object: dict[int, _Kept] = {}
+        self._collected: list[int] = []
         self._unsent_drops: list[str] = []
         self._fallback_kept: dict[str, Any] = {}
         # Held from a kept-value lookup until its ship completes, so no
@@ -576,13 +582,14 @@ class JournaledTransport(Transport):
             self._started = True
 
     def warm_up(self) -> None:
-        """Start the workers now.
+        """Start the workers now, and return once each has answered a ping.
 
         Sessions call this at construction so the start-up cost (a fresh
         interpreter plus imports per worker) is paid up front instead of
         inside the first solve's latency.
         """
         self._ensure_started()
+        self.ping()
 
     def _slot_for(self, node_id: int) -> int:
         return int(node_id) % self.max_workers
@@ -664,56 +671,63 @@ class JournaledTransport(Transport):
             self._fallback_kept[ref] = pickle.loads(self._kept[ref].data)
         return self._fallback_kept[ref]
 
-    def _keep(self, session: str, value: Any, shipped: Any) -> tuple[_Kept, bool]:
-        """The kept entry of ``value``, now owned by ``session`` too, and
-        whether it is new (its bytes must still be shipped).  ``shipped`` is
-        what travels: ``value`` itself, or its shared-memory handle.  Called
+    def _keep(self, session: str, value: Any) -> tuple[_Kept, bool]:
+        """The kept entry of ``value``, now owned by ``session`` and the pin
+        in scope too, and whether it is new (its bytes must still be
+        shipped).  A new entry's pickle carries ``value`` itself, or with
+        ``shared_memory`` its handle to a segment the entry owns.  Called
         with the keep lock held."""
         pin = solve_context().shm_pin
-        key = (pin, id(value))
         with self._journal_lock:
             self._drain_collected()
-            entry = self._kept_keys.get(key)
+            entry = self._by_object.get(id(value))
             if entry is not None:
-                entry.owners.add(session)
+                entry.own(session, pin)
                 return entry, False
-        entry = _Kept(f"v{next(_KEPT_COUNTER)}", pickle.dumps(shipped))
-        entry.owners.add(session)
-        collected = self._collected
+        ref = f"v{next(_KEPT_COUNTER)}"
+        shipped = shm.store().export(value, owner=ref) if self.shared_memory else value
+        entry = _Kept(ref, pickle.dumps(shipped))
+        collected, key = self._collected, id(value)
         try:
             entry.guard = weakref.ref(value, lambda _ref: collected.append(key))
         except TypeError:
-            pass  # never recognised again: it lives as long as its session
+            pass  # never recognised again: it lives as long as its sessions
         with self._journal_lock:
             if entry.guard is not None:
                 entry.key = key
-                if pin is not None:
-                    entry.owners.add(pin)
-                self._kept_keys[key] = entry
-            self._kept[entry.ref] = entry
+                self._by_object[key] = entry
+            entry.own(session, pin)
+            self._kept[ref] = entry
         return entry, True
 
-    def _disown(self, entry: _Kept, owner: Optional[str]) -> None:
-        """Drop one owner; a drained value leaves the journal and is queued
-        for dropping on the workers (journal lock held)."""
+    def _disown(self, entry: _Kept, owner: str) -> None:
+        """Drop one owner; a drained value is forgotten (journal lock held)."""
         entry.owners.discard(owner)
-        if entry.owners:
-            return
+        entry.pins.discard(owner)
+        if not entry.owners:
+            self._forget(entry)
+
+    def _forget(self, entry: _Kept) -> None:
+        """Take a value out of the journal, queue its drop on the workers and
+        unlink its segment (journal lock held)."""
         del self._kept[entry.ref]
         if entry.key is not None:
-            del self._kept_keys[entry.key]
+            del self._by_object[entry.key]
         self._fallback_kept.pop(entry.ref, None)
         self._unsent_drops.append(entry.ref)
+        shm.store().release_owner(entry.ref)
 
     def _drain_collected(self) -> None:
-        """End the pin's ownership of every collected object (journal lock
+        """End the pins' ownership of every collected object (journal lock
         held); its sessions keep the value until they are released."""
         while self._collected:
-            key = self._collected.pop()
-            entry = self._kept_keys.pop(key, None)
+            entry = self._by_object.pop(self._collected.pop(), None)
             if entry is not None:
                 entry.key = None
-                self._disown(entry, key[0])
+                entry.owners -= entry.pins
+                entry.pins.clear()
+                if not entry.owners:
+                    self._forget(entry)
 
     def _send_drops(self) -> None:
         """Tell every worker to forget the kept values no owner holds (at
@@ -935,20 +949,19 @@ class JournaledTransport(Transport):
 
         The first session to share an object ships its pickle to every
         worker, which keeps it; every later session that shares the same
-        object under the same pin sends only the reference (see "Kept
-        values" above).  With ``shared_memory`` the object's large
-        contiguous arrays are exported to a POSIX shared-memory segment
-        owned by the same owners; the pickle shipped — and journaled — then
-        carries a segment *reference*, every worker maps the same physical
-        pages, and a replay re-maps them.
+        live object sends only the reference (see "Kept values" above).
+        With ``shared_memory`` the object's large contiguous arrays are
+        exported to a POSIX shared-memory segment that the kept value owns;
+        the pickle shipped — and journaled — then carries a segment
+        *reference*, every worker maps the same physical pages, and a
+        replay re-maps them.
         """
         if self._fallback is not None:
             return self._fallback.init_shared(session, key, value)
         self._ensure_started()
         self._send_drops()
-        shipped = shm.store().export(value, owner=session) if self.shared_memory else value
         with self._keep_lock:
-            entry, new = self._keep(session, value, shipped)
+            entry, new = self._keep(session, value)
             if new:
                 for slot in range(self.max_workers):
                     self._request(slot, ("keep", entry.ref, entry.data))
@@ -1023,7 +1036,9 @@ class JournaledTransport(Transport):
         """Drop one session's node states and its ownership of kept values.
 
         ``session`` may also be a pin: ``Session.close()`` releases its own,
-        which drops the values only the pin kept.  Workers hear of a
+        which drops the values only the pin kept.  The segments of drained
+        values are unlinked before any worker is asked anything, so an
+        unreachable worker cannot keep one alive.  Workers hear of a
         session only if it installed something.
         """
         with self._journal_lock:
@@ -1033,29 +1048,25 @@ class JournaledTransport(Transport):
         with self._fn_cache_lock:
             for cache_key in [k for k in self._fn_cache if k[0] == session]:
                 del self._fn_cache[cache_key]
-        try:
-            if journal is not None and self._started and self._fallback is None:
-                for slot in range(self.max_workers):
-                    try:
-                        self._request(slot, ("release", session))
-                    except CommunicationError:
-                        pass  # a lost worker holds no state worth releasing
-            if self._fallback is not None:
-                self._fallback.release(session)
-            self._send_drops()
-        finally:
-            # Even with a worker unreachable, the session's shm ownership must
-            # drain — a crashed worker cannot keep a segment pinned.
-            shm.store().release_owner(session)
+        if journal is not None and self._started and self._fallback is None:
+            for slot in range(self.max_workers):
+                try:
+                    self._request(slot, ("release", session))
+                except CommunicationError:
+                    pass  # a lost worker holds no state worth releasing
+        if self._fallback is not None:
+            self._fallback.release(session)
+        self._send_drops()
 
     def close(self) -> None:
+        """Stop the workers and forget every kept value, unlinking their
+        segments whatever owners they had left."""
         self._closed = True
         with self._journal_lock:
+            for entry in list(self._kept.values()):
+                self._forget(entry)
             self._journal.clear()
-            self._kept.clear()
-            self._kept_keys.clear()
             self._unsent_drops.clear()
-            self._fallback_kept.clear()
         self._fallback = None
         if self._started:
             self._shutdown()
@@ -1164,24 +1175,6 @@ def transport_for(config: "TransportConfig") -> JournaledTransport:
         if transport is None or transport._closed:
             transport = _SHARED[config] = _build(config)
     return transport
-
-
-def shared_process_transport(
-    max_workers: int = 2,
-    start_method: str = "spawn",
-    shared_memory: bool = True,
-) -> ProcessPoolTransport:
-    """The shared pool ``TransportConfig(kind="process", ...)`` resolves to."""
-    from ..api.config import TransportConfig
-
-    return transport_for(
-        TransportConfig(
-            kind="process",
-            max_workers=max_workers,
-            start_method=start_method,
-            shared_memory=shared_memory,
-        )
-    )
 
 
 @atexit.register

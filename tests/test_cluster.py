@@ -96,7 +96,7 @@ def _recv_from(data: bytes, chunk: int = 1 << 16):
 
 class TestWireFraming:
     PAYLOADS = [
-        ("share", "key", b"x" * 100),
+        ("keep", "v0", b"x" * 100),
         {"nested": [1, 2.5, None, True]},
         np.arange(12.0).reshape(3, 4),
     ]

@@ -274,12 +274,34 @@ class TestPrivatePoolLifecycle:
             transport.init_node("another", 0, {})
 
     def test_shared_pool_survives_a_run(self):
-        from repro.fabric.transport import resolve_transport, shared_process_transport
+        from repro.fabric.transport import resolve_transport, transport_for
 
         config = TransportConfig(kind="process", max_workers=2)
         transport = resolve_transport(config)
         assert not transport.private
-        assert transport is shared_process_transport(2)
+        assert transport is transport_for(config)
+
+    def test_a_session_opens_once_every_worker_answered(self, monkeypatch):
+        # Session(...) pays the workers' start-up: it returns only after each
+        # slot's worker has booted far enough to answer a ping.
+        import repro
+        from repro.fabric.transport import Channel
+
+        answered = []
+        request = Channel.request
+
+        def spy(channel, message):
+            reply = request(channel, message)
+            answered.append((channel.number, message, reply))
+            return reply
+
+        monkeypatch.setattr(Channel, "request", spy)
+        config = TransportConfig(kind="process", max_workers=2, reuse_pool=False)
+        with repro.session(model="coordinator", transport=config):
+            assert sorted(answered) == [
+                (0, ("ping",), ("ok", "pong")),
+                (1, ("ping",), ("ok", "pong")),
+            ]
 
     def test_solve_with_dedicated_pool(self):
         problem = random_feasible_lp(200, 2, seed=8).problem

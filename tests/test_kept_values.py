@@ -8,6 +8,8 @@ object is collected.  Pinned here, on ``kind="tcp"`` and on
 
 * the kept path: a second solve ships no value bytes and equals the
   in-process result bit for bit, and a new object is shipped again;
+  threads solving one object ship it once, whether through one session
+  or through one session each on a shared transport;
 * recovery: a fresh worker receives the kept value by replay (SIGKILL
   between two solves, and a ``worker_crash`` fault mid-solve), and a crash
   with no restart left degrades to in-process, still bit-identical;
@@ -154,6 +156,55 @@ def test_concurrent_solves_ship_one_kept_value(monkeypatch):
     assert transport.health()["kept_values"] == 0
 
 
+@pytest.mark.skipif(
+    not shm.shared_memory_supported(), reason="no working POSIX shared memory"
+)
+def test_concurrent_api_sessions_share_one_kept_value(monkeypatch):
+    """More threads than cores, each with its own API session on one shared
+    process transport, solve one problem object: one ship per worker, one
+    kept value and one segment while a session is open, and neither once
+    every session has closed."""
+    problem = _problem()
+    reference = _reference(problem)
+    config = TransportConfig(kind="process", max_workers=2)  # reuse_pool=True
+    transport = transport_for(config)
+    shipped = _shipped(transport, monkeypatch)
+    before = set(shm.leaked_segments())
+    all_solved = threading.Barrier(4)
+    results, errors, held = [], [], []
+
+    def drive() -> None:
+        try:
+            with Session(model="coordinator", transport=config, **SOLVE_KWARGS) as session:
+                for _ in range(3):
+                    results.append(session.solve(problem))
+                all_solved.wait(timeout=120)
+                segments = set(shm.leaked_segments()) - before
+                held.append((transport.health()["kept_values"], len(segments)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=drive) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=180)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 12
+    for result in results:
+        assert_bit_identical(result, reference)
+    assert len(shipped) == transport.max_workers
+    assert held == [(1, 1)] * 4
+    assert transport.health()["kept_values"] == 0
+    assert set(shm.leaked_segments()) - before == set()
+
+
 # ---------------------------------------------------------------------- #
 # Recovery: replay and degradation carry the kept values
 # ---------------------------------------------------------------------- #
@@ -259,14 +310,16 @@ def test_a_pinned_segment_ends_with_its_problem():
             session.reset()
             gc.collect()
             # The collected problems' segments are gone; at most the last
-            # one waits for the store's next call.
+            # one waits for the transport's next exchange.
             assert len(set(shm.leaked_segments()) - before) <= 1
+        _held(session._transport)
         assert shm.store().segment_names() == []
         # A resolve_with chain replaces the session's problem every time.
         session.solve(_problem(seed=9))
         for _ in range(4):
             session.resolve_with(removed=[0])
             gc.collect()
+            _held(session._transport)
             assert len(shm.store().segment_names()) == 1
         assert [len(refs) for refs in _held(session._transport)] == [1, 1]
     assert set(shm.leaked_segments()) - before == set()

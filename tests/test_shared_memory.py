@@ -1,10 +1,14 @@
 """Zero-copy data plane: SharedPackStore, the wire codec, and leak surfaces.
 
-Three layers are pinned here:
+Four layers are pinned here:
 
 * **Store unit tests** — export/attach round-trips (views are read-only,
-  aliasing survives, small objects opt out), owner refcounting, and
-  deterministic unlink when the owner set drains.
+  aliasing survives, small objects opt out).
+* **Segment owners** — a segment belongs to the transport's kept value
+  that shipped it: it lives while a fabric session or a pin owns that
+  value, ends with the last owner (or the pin's object), is shared by
+  every session and API session that shares the object, and ends at the
+  transport's ``close()``.
 * **Wire codec unit tests** — bit-exact round-trips for the hot wire
   vocabulary, NumPy scalar-*type* preservation, and the pickle fallback
   (including ``loads`` accepting raw pickles, which journal replay needs).
@@ -15,6 +19,7 @@ Three layers are pinned here:
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import numpy as np
@@ -26,7 +31,7 @@ from repro.core.context import solve_scope
 from repro.core.exceptions import IterationLimitError
 from repro.fabric import shm, wirecodec
 from repro.fabric.payload import Scalar
-from repro.fabric.transport import ProcessPoolTransport
+from repro.fabric.transport import ProcessPoolTransport, new_pin_token, transport_for
 from repro.problems import LinearProgram
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.workloads import random_feasible_lp
@@ -104,36 +109,103 @@ class TestSharedPackStore:
         shm.store().release_owner("t4")
         _assert_no_leaks()
 
-    def test_owner_refcount_controls_unlink(self):
+
+# ---------------------------------------------------------------------- #
+# Segment owners: the transport's kept values
+# ---------------------------------------------------------------------- #
+
+
+def _new_segments(before: set) -> set:
+    return set(shm.leaked_segments()) - before
+
+
+class TestSegmentOwners:
+    def test_two_sessions_share_one_segment_until_both_release(self):
+        before = set(shm.leaked_segments())
         problem = _big_lp()
-        shipped = shm.store().export(problem, owner="a")
-        name = shipped.segment_name
-        shm.store().adopt(name, "b")
-        assert shm.store().owners_of(name) == {"a", "b"}
-        shm.store().release_owner("a")
-        assert name in shm.leaked_segments()  # "b" still pins it
-        shm.store().release_owner("b")
+        transport = ProcessPoolTransport(max_workers=2)
+        try:
+            transport.init_shared("a", "problem", problem)
+            transport.init_shared("b", "problem", problem)
+            [name] = _new_segments(before)
+            transport.release("a")
+            assert _new_segments(before) == {name}  # "b" still owns it
+            transport.release("b")
+            assert _new_segments(before) == set()
+        finally:
+            transport.close()
         _assert_no_leaks()
 
-    def test_repeat_export_reuses_the_segment(self):
+    def test_repeat_share_reuses_the_kept_segment(self, monkeypatch):
+        before = set(shm.leaked_segments())
         problem = _big_lp()
-        first = shm.store().export(problem, owner="a")
-        second = shm.store().export(problem, owner="b")
-        assert second is first
-        assert shm.store().owners_of(first.segment_name) == {"a", "b"}
-        shm.store().release_owner("a")
-        shm.store().release_owner("b")
+        transport = ProcessPoolTransport(max_workers=2)
+        try:
+            transport.init_shared("a", "problem", problem)
+            segments = _new_segments(before)
+            sent = []
+            request = transport._request
+
+            def recording(slot, message):
+                sent.append(message[0])
+                return request(slot, message)
+
+            monkeypatch.setattr(transport, "_request", recording)
+            transport.init_shared("b", "problem", problem)
+            assert _new_segments(before) == segments and len(segments) == 1
+            assert sent == ["bind", "bind"]  # no second keep
+            assert transport.health()["kept_values"] == 1
+        finally:
+            transport.close()
         _assert_no_leaks()
 
-    def test_ambient_pin_extends_lifetime(self):
+    def test_pin_owns_the_segment_while_its_object_lives(self):
+        before = set(shm.leaked_segments())
         problem = _big_lp()
-        token = shm.new_pin_token()
-        with solve_scope(shm_pin=token):
-            shipped = shm.store().export(problem, owner="solve1")
-        shm.store().release_owner("solve1")
-        # The pin (the API session's token) still owns the segment.
-        assert shipped.segment_name in shm.leaked_segments()
-        shm.store().release_owner(token)
+        transport = ProcessPoolTransport(max_workers=1)
+        try:
+            with solve_scope(shm_pin=new_pin_token()):
+                transport.init_shared("solve1", "problem", problem)
+            transport.release("solve1")
+            # The pin (the API session's token) still owns the segment.
+            assert len(_new_segments(before)) == 1
+            assert transport.health()["kept_values"] == 1
+            del problem
+            gc.collect()
+            # The object is gone, so the pin no longer owns its value: the
+            # transport's next exchange drops it and unlinks the segment.
+            transport.init_node("next", 0, {})
+            assert _new_segments(before) == set()
+            assert transport.health()["kept_values"] == 0
+        finally:
+            transport.close()
+        _assert_no_leaks()
+
+    def test_close_unlinks_the_segments_of_unreleased_sessions(self):
+        before = set(shm.leaked_segments())
+        transport = ProcessPoolTransport(max_workers=2)
+        try:
+            transport.init_shared("s", "problem", _big_lp())
+            assert len(_new_segments(before)) == 1
+        finally:
+            transport.close()
+        assert _new_segments(before) == set()
+
+    def test_two_api_sessions_keep_one_value_and_one_segment(self):
+        before = set(shm.leaked_segments())
+        problem = _big_lp()
+        config = TransportConfig(kind="process", max_workers=2)  # reuse_pool=True
+        transport = transport_for(config)
+        kwargs = dict(model="coordinator", transport=config, num_sites=3, **SOLVE_KWARGS)
+        with Session(**kwargs) as first, Session(**kwargs) as second:
+            assert_bit_identical(first.solve(problem), second.solve(problem))
+            assert transport.health()["kept_values"] == 1
+            assert len(_new_segments(before)) == 1
+            first.close()
+            # The second session's pin still owns the value and its segment.
+            assert transport.health()["kept_values"] == 1
+            assert len(_new_segments(before)) == 1
+        assert transport.health()["kept_values"] == 0
         _assert_no_leaks()
 
 

@@ -47,7 +47,8 @@ def biased_task(state, step):
 # ---------------------------------------------------------------------- #
 
 COMMANDS = [
-    ("share", "s", "bias", pickle.dumps(2.5)),
+    ("keep", "v0", pickle.dumps(2.5)),
+    ("bind", "s", "bias", "v0"),
     ("init", "s", 0, wirecodec.dumps({"count": 0, "bias": SharedRef("bias")})),
     ("run", "s", [(0, pickle.dumps(biased_task), wirecodec.dumps((3,)))]),
     ("ping",),
@@ -101,8 +102,8 @@ def test_pipe_worker_and_agent_answer_alike():
     over_pipe = _pipe_replies()
     over_socket = _agent_replies()
     assert over_pipe == over_socket
-    share, init, run, ping, unknown, failed, release, stop = over_pipe
-    assert share == init == release == stop == ("ok", None)
+    keep, bind, init, run, ping, unknown, failed, release, stop = over_pipe
+    assert keep == bind == init == release == stop == ("ok", None)
     assert run[0] == "ok" and [wirecodec.loads(r) for r in run[1]] == [(3, 2.5)]
     assert ping == ("ok", "pong")
     assert unknown == ("error", "unknown command 'bogus'")
