@@ -279,9 +279,7 @@ class CoordinatorModel(ClarksonModel):
             [StatsBlock(np.asarray(s, dtype=float)) for s in stats], combinable=True
         )
         topology.end_round()
-        self.oracle.record_external(
-            sum(1 for size in self.site_sizes if size), sum(self.site_sizes)
-        )
+        self.oracle_calls += sum(1 for size in self.site_sizes if size)
 
         violator_weight = sum(float(p.values[0]) for p in delivered)
         total_weight = sum(float(p.values[1]) for p in delivered)

@@ -237,10 +237,7 @@ class MPCModel(ClarksonModel):
     def note_weight_sweep(self) -> None:
         """Count the per-machine implicit-weight sweeps, once per version."""
         if self._counted_version != self.num_bases:
-            self.oracle.record_external(
-                sum(1 for size in self.machine_sizes if size),
-                sum(self.machine_sizes),
-            )
+            self.oracle_calls += sum(1 for size in self.machine_sizes if size)
             self._counted_version = self.num_bases
 
     def draw(self, sample_size: int) -> np.ndarray:
@@ -294,9 +291,7 @@ class MPCModel(ClarksonModel):
         per_machine_stats = topology.run_all(
             _machine_stats, [(basis.witness,)] * topology.num_machines
         )
-        self.oracle.record_external(
-            sum(1 for size in self.machine_sizes if size), sum(self.machine_sizes)
-        )
+        self.oracle_calls += sum(1 for size in self.machine_sizes if size)
         _, aggregate = topology.aggregate_tree(
             _COORDINATOR,
             StatsBlock(np.zeros(2)),

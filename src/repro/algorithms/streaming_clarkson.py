@@ -203,7 +203,7 @@ class StreamingModel(ClarksonModel):
 
     def draw(self, sample_size: int) -> np.ndarray:
         items = self.topology.run_pass(_reader_sampling_pass, sample_size)
-        self.oracle.record_external(self.chunks_per_pass, self.topology.num_items)
+        self.oracle_calls += self.chunks_per_pass
         # Peak footprint of the sampling pass: the reservoir, the stored
         # bases, and the single in-flight stream item.
         self.record_footprint(int(items.size))
@@ -216,9 +216,7 @@ class StreamingModel(ClarksonModel):
         violator_weight, total_weight, violator_count = self.topology.run_pass(
             _reader_verification_pass, basis.witness
         )
-        self.oracle.record_external(
-            2 * self.chunks_per_pass, 2 * self.topology.num_items
-        )
+        self.oracle_calls += 2 * self.chunks_per_pass
         self.record_footprint(int(len(sample)))
         fraction = violator_weight / total_weight if total_weight > 0 else 0.0
         return ViolationStats(

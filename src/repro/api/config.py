@@ -244,22 +244,16 @@ class SolverConfig:
     max_iterations:
         Hard iteration budget (``>= 1``; ``None`` derives the Lemma 3.3
         bound).
-    basis_cache:
-        Whether the engine memoises basis solves of repeated index sets
-        within a run (hit/miss counters are reported in
-        ``ResourceUsage.basis_cache_hits`` / ``_misses``).
     sample_size:
         Explicit eps-net sample size override (``>= 1``).
     success_threshold:
         Explicit success-test threshold on ``w(V)/w(S)`` (in ``(0, 1)``).
     kernel_backend:
         Kernel backend the run executes on: one of
-        :data:`repro.kernels.KNOWN_KERNEL_BACKENDS` (``"numpy"``, ``"fused"``,
-        ``"numba"``).  ``None`` (default) defers to the
+        :data:`repro.kernels.KNOWN_KERNEL_BACKENDS` (``"numpy"`` or
+        ``"fused"``).  ``None`` (default) defers to the
         ``REPRO_KERNEL_BACKEND`` environment variable and then the registry
-        default.  A known backend whose import dependency is missing
-        (``"numba"`` without numba installed) falls back to ``"numpy"`` at
-        solve time with a one-time warning.
+        default.
     """
 
     r: int = 2
@@ -269,7 +263,6 @@ class SolverConfig:
     failure_probability: float = 1.0 / 3.0
     boost: Optional[float] = None
     max_iterations: Optional[int] = None
-    basis_cache: bool = True
     sample_size: Optional[int] = None
     success_threshold: Optional[float] = None
     kernel_backend: Optional[str] = None
@@ -299,9 +292,6 @@ class SolverConfig:
                 self.success_threshold,
             )
         if self.kernel_backend is not None:
-            # Validate against the *known* names, not the registered ones:
-            # "numba" is a legal config on any machine, availability is
-            # resolved (with a numpy fallback) at solve time.
             self._check(
                 self.kernel_backend in kernels.KNOWN_KERNEL_BACKENDS,
                 "kernel_backend",

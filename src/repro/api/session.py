@@ -401,8 +401,9 @@ class Session:
         installs the budget meter, and hands the transport fresh
         :class:`~repro.resilience.faults.RecoveryNotes` to report what it
         did; worker restarts are folded into the result's
-        ``transport_retries`` usage counter, and a degradation to in-process
-        execution is flagged in the metadata.
+        ``transport_retries`` usage counter, and every solve that ran
+        in-process because the transport degraded is flagged in the
+        metadata.
         """
         notes = RecoveryNotes()
         with solve_scope(
@@ -417,7 +418,9 @@ class Session:
                 result = self.spec.runner(problem, config)
         if notes.restarts:
             result.resources.transport_retries += notes.restarts
-        if notes.degraded:
+        # The transport reports its degradation once, to the solve that
+        # degraded it; every later solve runs in-process too.
+        if notes.degraded or getattr(self._transport, "degraded", False):
             result.metadata["transport_degraded"] = True
         return result
 

@@ -6,10 +6,7 @@ from .engine import (
     ClarksonEngine,
     EngineConfig,
     EngineOutcome,
-    ExplicitWeightSubstrate,
-    InMemorySampling,
     SamplingStrategy,
-    ViolationOracle,
     ViolationStats,
     WeightSubstrate,
     iteration_budget,
@@ -27,19 +24,15 @@ from .exceptions import (
     SolverError,
     UnboundedProblemError,
 )
-from .lptype import BasisResult, LPTypeProblem, check_locality, check_monotonicity
+from .lptype import BasisResult, LPTypeProblem
 from .result import CommunicationSummary, IterationRecord, ResourceUsage, SolveResult
 from .rng import as_generator, derive_seed, spawn
 from .sampling import (
-    ExponentialKeyReservoir,
-    WeightedReservoirSampler,
     multinomial_split,
     normalise_weights,
-    stream_weighted_sample,
-    weighted_sample_with_replacement,
     weighted_sample_without_replacement,
 )
-from .weights import ExplicitWeights, ImplicitWeights, boost_factor
+from .weights import ExplicitWeights, boost_factor
 
 __all__ = [
     "BitCostModel",
@@ -52,10 +45,7 @@ __all__ = [
     "ClarksonEngine",
     "EngineConfig",
     "EngineOutcome",
-    "ExplicitWeightSubstrate",
-    "InMemorySampling",
     "SamplingStrategy",
-    "ViolationOracle",
     "ViolationStats",
     "WeightSubstrate",
     "iteration_budget",
@@ -75,8 +65,6 @@ __all__ = [
     "UnboundedProblemError",
     "BasisResult",
     "LPTypeProblem",
-    "check_locality",
-    "check_monotonicity",
     "IterationRecord",
     "ResourceUsage",
     "CommunicationSummary",
@@ -84,14 +72,9 @@ __all__ = [
     "as_generator",
     "derive_seed",
     "spawn",
-    "ExponentialKeyReservoir",
-    "WeightedReservoirSampler",
     "multinomial_split",
     "normalise_weights",
-    "stream_weighted_sample",
-    "weighted_sample_with_replacement",
     "weighted_sample_without_replacement",
     "ExplicitWeights",
-    "ImplicitWeights",
     "boost_factor",
 ]

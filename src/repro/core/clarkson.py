@@ -21,22 +21,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from .. import kernels
 from .engine import (
     ClarksonEngine,
     EngineConfig,
     EngineOutcome,
-    ExplicitWeightSubstrate,
-    InMemorySampling,
     SamplingStrategy,
-    ViolationOracle,
+    ViolationStats,
     WeightSubstrate,
     iteration_budget,
 )
 from .epsnet import EpsNetSpec
-from .lptype import LPTypeProblem
+from .lptype import BasisResult, LPTypeProblem
 from .result import ResourceUsage, SolveResult, WarmStats
 from .rng import as_generator
+from .sampling import gumbel_top_k
 from .weights import ExplicitWeights, boost_factor
 
 if TYPE_CHECKING:  # pragma: no cover - api.config imports this module
@@ -123,7 +124,10 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
 
     ``warm`` holds the successful-iteration witnesses a warm re-solve starts
     from (empty for a cold run); ``rng`` is the run's generator and
-    ``oracle`` counts the violation tests the run reports.
+    ``oracle_calls`` counts the vectorised violation evaluations the run
+    reports as ``ResourceUsage.oracle_calls``.  The fabric models evaluate
+    inside node tasks, possibly in another process, and add those
+    evaluations here from the coordinator side.
     """
 
     #: The engine's name in ``IterationLimitError`` messages.
@@ -149,7 +153,7 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
         self.config = config
         self.warm = list(warm_witnesses) if warm_witnesses else []
         self.rng = as_generator(config.seed)
-        self.oracle = ViolationOracle(problem)
+        self.oracle_calls = 0
 
     def install(self, boost: float, backend: str) -> None:
         """Build the weight state and install the nodes for an engine run."""
@@ -161,12 +165,13 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
     def warm_exponents(self):
         """Per-constraint count of violated warm witnesses, or ``None`` cold.
 
-        One vectorised sweep recovers the carried weight state (counted
-        against the oracle like any other violation evaluation).
+        One vectorised sweep recovers the carried weight state (counted in
+        ``oracle_calls`` like any other violation evaluation).
         """
         if not self.warm:
             return None
-        return self.oracle.count_matrix(self.warm, self.problem.all_indices())
+        self.oracle_calls += 1
+        return self.problem.violation_count_matrix(self.warm, self.problem.all_indices())
 
     def usage(self) -> ResourceUsage:
         """The run's costs in the model's currencies."""
@@ -187,9 +192,13 @@ class ClarksonModel(SamplingStrategy, WeightSubstrate):
 class SequentialModel(ClarksonModel):
     """The in-memory binding: an explicit weight vector and a direct draw.
 
-    ``resources.space_peak_items`` records the peak number of constraints
-    materialised at once (the eps-net sample plus the stored bases), the
-    quantity Theorem 1 bounds in the streaming model.
+    This is the ground truth the other models are tested against.  ``draw``
+    is a Gumbel top-k on the log-space weights, so no ``O(n)`` exponentiated
+    copy of the weights is materialised per draw; ``measure`` is one fused
+    violation sweep over all constraints; ``boost`` multiplies the
+    violators' weights.  ``resources.space_peak_items`` records the peak
+    number of constraints materialised at once (the eps-net sample plus the
+    stored bases), the quantity Theorem 1 bounds in the streaming model.
     """
 
     name = "Algorithm 1"
@@ -202,16 +211,49 @@ class SequentialModel(ClarksonModel):
     peak_items = 0
     _boosts = 0
 
-    draw = InMemorySampling.draw
-    measure = ExplicitWeightSubstrate.measure
-    boost = ExplicitWeightSubstrate.boost
-
     def install(self, boost: float, backend: str) -> None:
         exponents = self.warm_exponents()
         if exponents is None:
             self.weights = ExplicitWeights.uniform(self.problem.num_constraints, boost)
         else:
             self.weights = ExplicitWeights.from_exponents(exponents, boost)
+
+    def draw(self, sample_size: int) -> np.ndarray:
+        return gumbel_top_k(self.weights.log_weights, sample_size, rng=self.rng)
+
+    def measure(self, sample: np.ndarray, basis: BasisResult) -> ViolationStats:
+        # One fused sweep replaces the historical mask -> sort-indices ->
+        # gather-weights -> sum sequence.  Weights go in as logs plus the
+        # max shift: blocked backends exponentiate cache-resident blocks
+        # inside the sweep, so no full scaled vector is ever materialised
+        # on the per-iteration path.
+        log_weights = self.weights.log_weights
+        self.oracle_calls += 1
+        stats = self.problem.violation_sweep(
+            basis.witness,
+            None,
+            need_total=True,
+            log_weights=log_weights,
+            log_shift=float(log_weights.max()),
+        )
+        self.peak_items = max(
+            self.peak_items,
+            len(sample) + (self._boosts + 1) * self.problem.combinatorial_dimension,
+        )
+        fraction = (
+            stats.violated_weight / stats.total_weight if stats.count else 0.0
+        )
+        return ViolationStats(
+            num_violators=int(stats.count),
+            weight_fraction=float(fraction),
+            context=stats.mask,
+        )
+
+    def boost(self, stats: ViolationStats) -> None:
+        # ``context`` is the violation mask; materialise indices only on the
+        # (success) iterations that actually boost.
+        self.weights.multiply(np.flatnonzero(stats.context))
+        self._boosts += 1
 
     def usage(self) -> ResourceUsage:
         return ResourceUsage(space_peak_items=self.peak_items)
@@ -262,9 +304,8 @@ def run_clarkson(
                     budget=budget,
                     keep_trace=config.keep_trace,
                     name=run.name,
-                    basis_cache=config.basis_cache,
                 )
-                outcome = ClarksonEngine(problem, run, run, engine_config).run()
+                outcome = ClarksonEngine(run, engine_config).run()
     finally:
         run.release()
 
@@ -273,7 +314,7 @@ def run_clarkson(
         # A direct solve holds every constraint at once and asks no oracle.
         resources.space_peak_items = n
     else:
-        resources.oracle_calls = run.oracle.calls
+        resources.oracle_calls = run.oracle_calls
         resources.basis_cache_hits = outcome.cache_hits
         resources.basis_cache_misses = outcome.cache_misses
     values = {

@@ -13,23 +13,21 @@ represented) changes between models.  This module owns that shared loop::
         if V is empty:            terminate with the basis
         if w(V) <= eps * w(S):    multiply the weights of V by n^{1/r}
 
-and delegates everything model-specific to three narrow strategy interfaces:
+and delegates everything model-specific to two narrow interfaces:
 
 * :class:`SamplingStrategy` — how one weighted eps-net sample is obtained
-  (in-memory weighted draw, a reservoir pass over a stream, a multinomial
-  split across coordinator sites, or MPC tree rounds);
+  (a Gumbel top-k draw from an explicit vector, a reservoir pass over a
+  stream, a multinomial split across coordinator sites, or MPC tree rounds);
 * :class:`WeightSubstrate` — how the weights live (an explicit vector, or
   implicitly as the stored bases of successful iterations) and how the
-  success test ``w(V)/w(S) <= eps`` is measured;
-* :class:`ViolationOracle` — vectorised violation tests against one
-  problem, so no strategy ever calls ``problem.violates`` in a Python loop.
+  success test ``w(V)/w(S) <= eps`` is measured.
 
-Each computation model is one :class:`~repro.core.clarkson.ClarksonModel`
-that serves as both its sampling strategy and its weight substrate, and
-:func:`~repro.core.clarkson.run_clarkson` runs this engine on it.  The
-pass/round/communication accounting happens inside the model's ``draw``,
-``measure`` and ``boost``, so the engine itself never needs to know which
-model it is running in.
+Each computation model is one :class:`~repro.core.clarkson.ClarksonModel`,
+which implements both, and the engine talks to that one object: it reads
+the run's problem from ``model.problem`` and calls the model's ``draw``,
+``measure`` and ``boost``.  The pass/round/communication accounting happens
+inside those three, so the engine itself never needs to know which model it
+is running in.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -45,11 +43,11 @@ from .context import solve_context
 from .exceptions import InvalidConfigError, IterationLimitError
 from .lptype import BasisResult, LPTypeProblem
 from .result import IterationRecord
-from .sampling import gumbel_top_k
-from .weights import ExplicitWeights
+
+if TYPE_CHECKING:  # pragma: no cover - clarkson imports this module
+    from .clarkson import ClarksonModel
 
 __all__ = [
-    "ViolationOracle",
     "ViolationStats",
     "SamplingStrategy",
     "WeightSubstrate",
@@ -57,8 +55,6 @@ __all__ = [
     "EngineConfig",
     "EngineOutcome",
     "ClarksonEngine",
-    "InMemorySampling",
-    "ExplicitWeightSubstrate",
     "iteration_budget",
 ]
 
@@ -78,81 +74,6 @@ def iteration_budget(problem: LPTypeProblem, r: int, max_iterations: Optional[in
             f"max_iterations must be >= 1 or None (got {max_iterations!r})"
         )
     return int(max_iterations)
-
-
-class ViolationOracle:
-    """Vectorised violation tests against one LP-type problem.
-
-    A thin adapter over the batch methods of :class:`LPTypeProblem` so that
-    strategies and drivers have a single place to ask "which of these
-    constraints violate this witness?" and "how many of these witnesses does
-    each constraint violate?" without scalar ``violates`` loops.  The oracle
-    counts its calls (and the constraints they touched) so drivers can report
-    them in :class:`~repro.core.result.ResourceUsage.oracle_calls`.
-    """
-
-    def __init__(self, problem: LPTypeProblem) -> None:
-        self.problem = problem
-        self.calls = 0
-        self.constraints_tested = 0
-
-    def _count(self, indices) -> None:
-        self.calls += 1
-        self.constraints_tested += int(len(indices))
-
-    def record_external(self, calls: int, constraints: int) -> None:
-        """Fold in violation tests that ran outside this oracle object.
-
-        The fabric drivers evaluate masks *inside* node tasks (possibly in
-        another process), where this oracle is unreachable; the driver
-        reports those evaluations here so ``ResourceUsage.oracle_calls``
-        stays comparable across models and transports.
-        """
-        self.calls += int(calls)
-        self.constraints_tested += int(constraints)
-
-    def mask(self, witness: Any, indices: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``indices``: which constraints violate ``witness``."""
-        self._count(indices)
-        return self.problem.violation_mask(witness, indices)
-
-    def sweep(
-        self,
-        witness: Any,
-        indices: Optional[np.ndarray] = None,
-        weights: Optional[np.ndarray] = None,
-        need_total: bool = True,
-        log_weights: Optional[np.ndarray] = None,
-        log_shift: float = 0.0,
-    ):
-        """One fused violation sweep (mask + count + weight sums) over ``indices``.
-
-        ``indices=None`` sweeps the full constraint set.  Counts as one
-        oracle call touching every swept constraint, exactly like
-        :meth:`violating` did on the same index set.
-        """
-        self.calls += 1
-        self.constraints_tested += (
-            self.problem.num_constraints if indices is None else int(len(indices))
-        )
-        return self.problem.violation_sweep(
-            witness,
-            indices,
-            weights=weights,
-            need_total=need_total,
-            log_weights=log_weights,
-            log_shift=log_shift,
-        )
-
-    def violating(self, witness: Any, indices: np.ndarray) -> np.ndarray:
-        """Violating indices among ``indices`` (ascending)."""
-        self._count(indices)
-        return self.problem.violating_indices(witness, indices)
-
-    def count_matrix(self, witnesses: Sequence[Any], indices: np.ndarray) -> np.ndarray:
-        """Per-constraint count of violated witnesses (implicit-weight exponents)."""
-        self._count(indices)
-        return self.problem.violation_count_matrix(witnesses, indices)
 
 
 class BasisCache:
@@ -289,8 +210,6 @@ class EngineConfig:
     budget: int
     keep_trace: bool = True
     name: str = "clarkson"
-    basis_cache: bool = True
-    basis_cache_capacity: int = 256
 
 
 @dataclass
@@ -311,36 +230,25 @@ class EngineOutcome:
 
 
 class ClarksonEngine:
-    """Owns the Algorithm 1 loop; model behaviour is injected via strategies.
+    """Owns the Algorithm 1 loop; the run's model supplies draw/measure/boost.
 
     The engine guarantees identical iteration semantics across models: the
     same success test, the same trace records, the same termination rule
     (empty violator set) and the same budget handling.  Resource accounting
-    is entirely the strategies' business.
+    is entirely the model's business.
     """
 
-    def __init__(
-        self,
-        problem: LPTypeProblem,
-        sampler: SamplingStrategy,
-        substrate: WeightSubstrate,
-        config: EngineConfig,
-    ) -> None:
-        self.problem = problem
-        self.sampler = sampler
-        self.substrate = substrate
+    def __init__(self, model: "ClarksonModel", config: EngineConfig) -> None:
+        self.model = model
+        self.problem = model.problem
         self.config = config
         # The basis-solve cache is strictly per-engine (= per-run) state:
         # sharing it across runs would leak one run's numerics into another.
-        self.basis_cache = (
-            BasisCache(config.basis_cache_capacity) if config.basis_cache else None
-        )
+        self.basis_cache = BasisCache()
 
     def _solve_sample(self, sample: np.ndarray) -> BasisResult:
-        """Solve the sampled subset, going through the basis cache if enabled."""
+        """Solve the sampled subset, going through the basis cache."""
         cache = self.basis_cache
-        if cache is None:
-            return self.problem.solve_subset(sample)
         # The digest works on the raw int64 array — building a Python tuple
         # of a 10^4-element sample costs more than the subset solve's setup.
         key = np.sort(np.asarray(sample, dtype=np.int64))
@@ -364,6 +272,7 @@ class ClarksonEngine:
         # store (if any) is snapshotted after each successful iteration so a
         # transport failure can resume from the accumulated witnesses
         # instead of restarting the solve.
+        model = self.model
         context = solve_context()
         meter = context.meter
         tap = context.tap
@@ -372,9 +281,9 @@ class ClarksonEngine:
         for iteration in range(config.budget):
             if meter is not None:
                 meter.charge_iteration()
-            sample = self.sampler.draw(config.sample_size)
+            sample = model.draw(config.sample_size)
             basis = self._solve_sample(sample)
-            stats = self.substrate.measure(sample, basis)
+            stats = model.measure(sample, basis)
             success = stats.weight_fraction <= config.epsilon
             if tap is not None:
                 tap.emit(
@@ -401,7 +310,7 @@ class ClarksonEngine:
                 iterations = iteration + 1
                 break
             if success:
-                self.substrate.boost(stats)
+                model.boost(stats)
                 successful += 1
                 successful_witnesses.append(basis.witness)
                 if store is not None:
@@ -419,83 +328,7 @@ class ClarksonEngine:
             iterations=iterations,
             successful_iterations=successful,
             trace=trace,
-            cache_hits=self.basis_cache.hits if self.basis_cache else 0,
-            cache_misses=self.basis_cache.misses if self.basis_cache else 0,
+            cache_hits=self.basis_cache.hits,
+            cache_misses=self.basis_cache.misses,
             successful_witnesses=successful_witnesses,
         )
-
-
-# ---------------------------------------------------------------------- #
-# The in-memory strategies: the reference implementation of the strategy
-# interfaces, whose methods ``repro.core.clarkson.SequentialModel`` reuses.
-# ---------------------------------------------------------------------- #
-
-
-class InMemorySampling(SamplingStrategy):
-    """Weighted draw without replacement from an explicit weight vector.
-
-    Draws Gumbel top-k keys directly from the log-space weight vector, so no
-    ``O(n)`` exponentiated copy of the weights is materialised per draw.
-    """
-
-    def __init__(self, weights: ExplicitWeights, rng: np.random.Generator) -> None:
-        self.weights = weights
-        self.rng = rng
-
-    def draw(self, sample_size: int) -> np.ndarray:
-        return gumbel_top_k(self.weights.log_weights, sample_size, rng=self.rng)
-
-
-class ExplicitWeightSubstrate(WeightSubstrate):
-    """Explicit weight vector over all constraints (the sequential substrate).
-
-    Also tracks the peak number of constraints materialised at once (the
-    sample plus the stored bases), which is what Theorem 1 bounds for the
-    sequential reference implementation.
-    """
-
-    def __init__(
-        self,
-        problem: LPTypeProblem,
-        weights: ExplicitWeights,
-        oracle: ViolationOracle | None = None,
-    ) -> None:
-        self.problem = problem
-        self.weights = weights
-        self.oracle = oracle or ViolationOracle(problem)
-        self._boosts = 0
-        self.peak_items = 0
-
-    def measure(self, sample: np.ndarray, basis: BasisResult) -> ViolationStats:
-        # One fused sweep replaces the historical mask -> sort-indices ->
-        # gather-weights -> sum sequence.  Weights go in as logs plus the
-        # max shift: blocked backends exponentiate cache-resident blocks
-        # inside the sweep, so no full scaled vector is ever materialised
-        # on the per-iteration path; the violated/total ratio equals
-        # ``weights.fraction`` of the violator set.
-        log_weights = self.weights.log_weights
-        stats = self.oracle.sweep(
-            basis.witness,
-            None,
-            need_total=True,
-            log_weights=log_weights,
-            log_shift=float(log_weights.max()),
-        )
-        self.peak_items = max(
-            self.peak_items,
-            len(sample) + (self._boosts + 1) * self.problem.combinatorial_dimension,
-        )
-        fraction = (
-            stats.violated_weight / stats.total_weight if stats.count else 0.0
-        )
-        return ViolationStats(
-            num_violators=int(stats.count),
-            weight_fraction=float(fraction),
-            context=stats.mask,
-        )
-
-    def boost(self, stats: ViolationStats) -> None:
-        # ``context`` is the violation mask; materialise indices only on the
-        # (success) iterations that actually boost.
-        self.weights.multiply(np.flatnonzero(stats.context))
-        self._boosts += 1

@@ -41,8 +41,6 @@ __all__ = [
     "LPTypeProblem",
     "as_index_array",
     "working_set_solve",
-    "check_monotonicity",
-    "check_locality",
 ]
 
 
@@ -283,9 +281,10 @@ class LPTypeProblem(abc.ABC):
 
     The constraint set is indexed ``0 .. num_constraints - 1``; drivers refer
     to constraints exclusively through these indices so that the problem
-    object itself can live on a single machine (models that distribute the
-    constraints pass around *constraint payloads* obtained via
-    :meth:`constraint_payload`).
+    object itself can live on a single machine.  Models that distribute the
+    constraints ship them as packed rows
+    (:func:`repro.fabric.payload.constraint_rows`), whose width per row
+    :meth:`payload_num_coefficients` gives.
     """
 
     #: The family descriptor (wire codec, edits, ingestion, :meth:`restrict`).
@@ -514,16 +513,6 @@ class LPTypeProblem(abc.ABC):
         """Solve over the full constraint set (ground truth for tests)."""
         return self.solve_subset(self.all_indices())
 
-    def constraint_payload(self, index: int) -> Any:
-        """A self-contained description of one constraint.
-
-        Used by the distributed substrates when they ship constraints between
-        machines; the default returns the index itself, which suffices for
-        the simulators (they share the problem object), but concrete problems
-        provide real payloads so message sizes can be accounted faithfully.
-        """
-        return index
-
     def payload_num_coefficients(self) -> int:
         """Number of real coefficients in one constraint payload."""
         return self.dimension + 1
@@ -642,49 +631,3 @@ def working_set_solve(
             break
         work = grown
     return direct_solve(idx)
-
-
-# ---------------------------------------------------------------------- #
-# Axiom checkers (used by tests and by the property-based suite)
-# ---------------------------------------------------------------------- #
-
-
-def check_monotonicity(
-    problem: LPTypeProblem, smaller: Sequence[int], larger: Sequence[int]
-) -> bool:
-    """Check ``f(X) <= f(Y)`` for ``X`` a subset of ``Y``.
-
-    ``smaller`` must be a subset of ``larger``; raises ``ValueError`` if not.
-    """
-    small_set = set(int(i) for i in smaller)
-    large_set = set(int(i) for i in larger)
-    if not small_set <= large_set:
-        raise ValueError("'smaller' must be a subset of 'larger'")
-    f_small = problem.solve_subset(sorted(small_set)).value
-    f_large = problem.solve_subset(sorted(large_set)).value
-    return not f_large < f_small
-
-
-def check_locality(
-    problem: LPTypeProblem,
-    smaller: Sequence[int],
-    larger: Sequence[int],
-    extra: int,
-) -> bool:
-    """Check the locality axiom for ``X subset Y`` and element ``extra``.
-
-    If ``f(X) = f(Y) = f(X + {e})`` then ``f(Y) = f(Y + {e})`` must hold.
-    Returns ``True`` when the premise fails (vacuous) or the conclusion holds.
-    """
-    small_set = set(int(i) for i in smaller)
-    large_set = set(int(i) for i in larger)
-    if not small_set <= large_set:
-        raise ValueError("'smaller' must be a subset of 'larger'")
-    f_small = problem.solve_subset(sorted(small_set)).value
-    f_large = problem.solve_subset(sorted(large_set)).value
-    f_small_e = problem.solve_subset(sorted(small_set | {int(extra)})).value
-    premise = f_small == f_large == f_small_e
-    if not premise:
-        return True
-    f_large_e = problem.solve_subset(sorted(large_set | {int(extra)})).value
-    return f_large_e == f_large

@@ -4,14 +4,16 @@ Algorithm 1 samples constraints with probability proportional to their
 weights.  Each computation model needs a slightly different realisation of
 the same primitive:
 
-* in memory (the sequential reference implementation) we can simply draw from
-  the normalised weight vector;
-* in the streaming model the weights are only known *on the fly*, so we use
-  weighted reservoir sampling (Chao's procedure for a single slot and the
-  Efraimidis-Spirakis exponential-key scheme for ``m`` slots in one pass);
+* in memory (the sequential reference implementation) a Gumbel top-k draw
+  on the log-space weight vector (:func:`gumbel_top_k`);
+* in the streaming model the weights are only known *on the fly*, so the
+  stream reader draws Efraimidis-Spirakis exponential keys chunk by chunk
+  (:func:`exponential_keys`) and keeps a running top-``m``: the weighted
+  reservoir sample without replacement, in one pass;
 * in the coordinator model the coordinator splits the ``m`` draws across the
-  sites with a multinomial on the per-site total weights (Lemma 3.7) and each
-  site then samples locally.
+  sites with a multinomial on the per-site total weights (Lemma 3.7,
+  :func:`multinomial_split`) and each site then samples locally
+  (:func:`weighted_sample_without_replacement`).
 
 All of those are implemented here so that the model-specific drivers stay
 thin and the statistical behaviour can be unit-tested in one place.
@@ -19,9 +21,7 @@ thin and the statistical behaviour can be unit-tested in one place.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,15 +31,9 @@ from .rng import SeedLike, as_generator
 __all__ = [
     "normalise_weights",
     "exponential_keys",
-    "gumbel_keys",
     "gumbel_top_k",
-    "weighted_sample_with_replacement",
     "weighted_sample_without_replacement",
     "multinomial_split",
-    "WeightedReservoirSampler",
-    "ExponentialKeyReservoir",
-    "stream_weighted_sample",
-    "iter_chunks",
 ]
 
 #: Smallest positive double: ``Generator.random`` draws from ``[0, 1)`` and
@@ -70,19 +64,6 @@ def normalise_weights(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr / total
 
 
-def weighted_sample_with_replacement(
-    weights: Sequence[float] | np.ndarray,
-    size: int,
-    rng: SeedLike = None,
-) -> np.ndarray:
-    """Draw ``size`` i.i.d. indices with probability proportional to weights."""
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    gen = as_generator(rng)
-    probs = normalise_weights(weights)
-    return gen.choice(len(probs), size=size, replace=True, p=probs)
-
-
 def exponential_keys(
     weights: Sequence[float] | np.ndarray,
     rng: SeedLike = None,
@@ -90,33 +71,14 @@ def exponential_keys(
     """Batch Efraimidis-Spirakis keys ``log(u_i) / w_i`` for positive weights.
 
     Consumes exactly one uniform per weight, in order, so a stream processed
-    in chunks draws the same keys as a single batch evaluation (and as the
-    one-at-a-time :class:`ExponentialKeyReservoir`).  The ``size`` largest
-    keys form a weighted sample without replacement.
+    in chunks draws the same keys as a single batch evaluation (and as a
+    reservoir offered the items one at a time).  The ``size`` largest keys
+    form a weighted sample without replacement.
     """
     gen = as_generator(rng)
     arr = np.asarray(weights, dtype=float)
     log_u = np.log(np.maximum(gen.random(arr.size), _TINY_UNIFORM))
     return log_u / arr
-
-
-def gumbel_keys(
-    log_weights: Sequence[float] | np.ndarray,
-    rng: SeedLike = None,
-) -> np.ndarray:
-    """Batch Gumbel keys ``log w_i + G_i`` for log-space weights.
-
-    ``G_i = -log(-log u_i)`` are i.i.d. standard Gumbel perturbations; by the
-    Gumbel-max trick the ``k`` largest keys form a weighted sample without
-    replacement — the log-space twin of :func:`exponential_keys`, consuming
-    one uniform per weight.  Operates directly on ``log w`` so callers never
-    materialise an exponentiated weight vector (keys are shift-invariant, so
-    un-normalised log weights are fine).
-    """
-    gen = as_generator(rng)
-    arr = np.asarray(log_weights, dtype=float)
-    u = np.maximum(gen.random(arr.size), _TINY_UNIFORM)
-    return arr - np.log(-np.log(u))
 
 
 def gumbel_top_k(
@@ -189,119 +151,3 @@ def multinomial_split(
     gen = as_generator(rng)
     probs = normalise_weights(site_weights)
     return gen.multinomial(size, probs)
-
-
-@dataclass
-class WeightedReservoirSampler:
-    """Chao's weighted reservoir sampler for a single reservoir slot.
-
-    Feeding items one at a time (with their weights), the retained item is
-    distributed proportionally to the weights of everything seen so far.  The
-    streaming driver runs ``m`` independent copies of this sampler to draw an
-    i.i.d. (with replacement) weighted sample of size ``m`` in a single pass,
-    exactly matching the in-memory sampler used by Algorithm 1.
-    """
-
-    rng: np.random.Generator
-    total_weight: float = 0.0
-    item: object = None
-    items_seen: int = 0
-
-    @classmethod
-    def create(cls, rng: SeedLike = None) -> "WeightedReservoirSampler":
-        return cls(rng=as_generator(rng))
-
-    def offer(self, item: object, weight: float) -> None:
-        """Offer ``item`` with ``weight``; it replaces the held item w.p. w/W."""
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        self.items_seen += 1
-        if weight == 0:
-            return
-        self.total_weight += weight
-        if self.rng.random() < weight / self.total_weight:
-            self.item = item
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total_weight == 0.0
-
-
-@dataclass
-class ExponentialKeyReservoir:
-    """Efraimidis-Spirakis reservoir holding the top-``capacity`` keyed items.
-
-    Produces a weighted sample *without* replacement in a single pass.  Used
-    by the streaming driver when distinct samples are preferred (the eps-net
-    guarantee only improves when duplicates are removed).
-
-    The reservoir is a min-heap on the exponential keys, so each offer costs
-    ``O(log capacity)`` (an offer that does not beat the current minimum is
-    ``O(1)``) instead of the ``O(capacity)`` of a linear minimum scan.
-    """
-
-    capacity: int
-    rng: np.random.Generator
-    # Heap of (key, tiebreak, item); the root is the smallest (worst) key.
-    _heap: list[tuple[float, int, object]] = field(default_factory=list)
-    items_seen: int = 0
-
-    @classmethod
-    def create(cls, capacity: int, rng: SeedLike = None) -> "ExponentialKeyReservoir":
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        return cls(capacity=capacity, rng=as_generator(rng))
-
-    def offer(self, item: object, weight: float) -> None:
-        """Offer ``item`` with ``weight`` to the reservoir."""
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        self.items_seen += 1
-        if weight == 0:
-            return
-        u = max(self.rng.random(), _TINY_UNIFORM)
-        key = np.log(u) / weight
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, (key, self.items_seen, item))
-            return
-        if key > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (key, self.items_seen, item))
-
-    def sample(self) -> list[object]:
-        """Return the current sample (up to ``capacity`` items)."""
-        return [item for _, _, item in self._heap]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def stream_weighted_sample(
-    stream: Iterable[tuple[object, float]],
-    size: int,
-    rng: SeedLike = None,
-    with_replacement: bool = True,
-) -> list[object]:
-    """Draw a weighted sample of ``size`` items from a one-shot stream.
-
-    Convenience wrapper used by tests and by the streaming driver: consumes
-    ``stream`` (an iterable of ``(item, weight)`` pairs) exactly once.
-    """
-    gen = as_generator(rng)
-    if with_replacement:
-        samplers = [WeightedReservoirSampler.create(gen) for _ in range(size)]
-        for item, weight in stream:
-            for sampler in samplers:
-                sampler.offer(item, weight)
-        return [s.item for s in samplers if not s.is_empty]
-    reservoir = ExponentialKeyReservoir.create(size, gen)
-    for item, weight in stream:
-        reservoir.offer(item, weight)
-    return reservoir.sample()
-
-
-def iter_chunks(sequence: Sequence, chunk_size: int) -> Iterator[Sequence]:
-    """Yield consecutive chunks of ``sequence`` of length ``chunk_size``."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    for start in range(0, len(sequence), chunk_size):
-        yield sequence[start : start + chunk_size]

@@ -2,31 +2,29 @@
 
 Algorithm 1 maintains a weight ``w(S)`` for every constraint ``S``; after a
 successful iteration every constraint violating the current basis has its
-weight multiplied by ``n^{1/r}`` (the *boost* factor).  Two realisations are
-provided:
+weight multiplied by ``n^{1/r}`` (the *boost* factor).
 
-* :class:`ExplicitWeights` stores the full weight vector (used by the
-  sequential in-memory reference implementation and by the coordinator
-  sites, each of which only stores weights for its own constraints);
-
-* :class:`ImplicitWeights` never stores per-constraint weights.  Instead it
-  stores the bases of all successful iterations; the weight of a constraint
-  is ``boost ** (number of stored bases it violates)``.  This is exactly the
-  trick of Section 3.2 that lets the streaming implementation (and the MPC
-  machines) recompute weights on the fly with only ``O(nu * r)`` stored
-  bases.
+:class:`ExplicitWeights` stores the full weight vector (used by the
+sequential in-memory reference implementation and by the coordinator sites,
+each of which only stores weights for its own constraints).  The streaming
+reader and the MPC machines never store per-constraint weights: they keep
+the bases of all successful iterations, and the weight of a constraint is
+``boost ** (number of stored bases it violates)`` (Section 3.2), which they
+recompute on the fly with one ``LPTypeProblem.violation_count_matrix``
+sweep.  :meth:`ExplicitWeights.from_exponents` turns such counts into an
+explicit vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import kernels
 
-__all__ = ["ExplicitWeights", "ImplicitWeights", "boost_factor"]
+__all__ = ["ExplicitWeights", "boost_factor"]
 
 
 def boost_factor(num_constraints: int, r: int) -> float:
@@ -91,10 +89,6 @@ class ExplicitWeights:
     def __len__(self) -> int:
         return int(self.log_weights.size)
 
-    def weight(self, index: int) -> float:
-        """Weight of constraint ``index`` (may be huge; prefer relative uses)."""
-        return float(np.exp(self.log_weights[index]))
-
     def _scaled_weights(self) -> np.ndarray:
         if self._scaled is None:
             self._scaled = kernels.active_backend().exp_shift(
@@ -106,7 +100,7 @@ class ExplicitWeights:
 
     @property
     def scaled_total(self) -> float:
-        """Sum of the max-normalised weight vector (:meth:`fraction`'s denominator).
+        """Sum of the max-normalised weight vector.
 
         Exposed so fused-sweep consumers can turn a violated-weight sum into
         the success-test fraction without re-reducing the full vector.
@@ -135,52 +129,3 @@ class ExplicitWeights:
             return
         self.log_weights[idx] += self._log_boost
         self._scaled = None
-
-    def fraction(self, indices: Sequence[int] | np.ndarray) -> float:
-        """``w(indices) / w(all)`` computed stably in log-space."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == 0:
-            return 0.0
-        scaled = self._scaled_weights()
-        return float(scaled[idx].sum() / self._scaled_total)
-
-
-@dataclass
-class ImplicitWeights:
-    """Weights derived from the list of stored (successful-iteration) bases.
-
-    ``violates(basis, index)`` must return ``True`` when the constraint with
-    the given index violates ``basis``.  The weight of constraint ``i`` is
-    then ``boost ** a_i`` with ``a_i`` the number of stored bases it violates
-    (Section 3.2).  Weights are reported relative to the maximum exponent so
-    that they stay finite.
-    """
-
-    boost: float
-    violates: Callable[[object, int], bool]
-    bases: list[object] = field(default_factory=list)
-
-    def record_basis(self, basis: object) -> None:
-        """Store the basis of a successful iteration."""
-        self.bases.append(basis)
-
-    @property
-    def num_bases(self) -> int:
-        return len(self.bases)
-
-    def exponent(self, index: int) -> int:
-        """Number of stored bases violated by constraint ``index``."""
-        return sum(1 for basis in self.bases if self.violates(basis, index))
-
-    def log_weight(self, index: int) -> float:
-        """``log w(index)`` = ``exponent * log(boost)``."""
-        return self.exponent(index) * float(np.log(self.boost))
-
-    def weight(self, index: int, reference_exponent: int = 0) -> float:
-        """Weight relative to ``boost ** reference_exponent``.
-
-        Sampling only needs weights up to a common factor; callers that worry
-        about overflow can pass the maximum exponent seen so far as the
-        reference.
-        """
-        return float(self.boost ** (self.exponent(index) - reference_exponent))

@@ -1,12 +1,11 @@
 """Pluggable kernel backends for the solver's hot array loops.
 
-The registry knows three backends:
+The registry knows two backends:
 
 * ``numpy`` — the reference implementation (the pre-kernel-layer code path,
-  full-array temporaries); the guaranteed fallback.
+  full-array temporaries).
 * ``fused`` — NumPy-blocked sweeps with the certified float32 margin pass;
   the default.
-* ``numba`` — JIT loops, registered only when numba is importable.
 
 Selection precedence, resolved at solve time (never at import time):
 
@@ -14,10 +13,9 @@ Selection precedence, resolved at solve time (never at import time):
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
 3. the default (``fused``).
 
-A requested-but-unavailable backend (e.g. ``numba`` without numba installed)
-falls back to ``numpy`` with a one-time warning; an unrecognised environment
-value falls back to the default likewise.  The active backend is carried in
-a :mod:`contextvars` variable, so per-solve selection is thread- and
+An unrecognised name (from ``use_backend`` or the environment) falls back
+to the default with a one-time warning.  The active backend is carried in a
+:mod:`contextvars` variable, so per-solve selection is thread- and
 task-safe: the drivers wrap each run in :func:`use_backend`, and the fabric
 node tasks re-establish the driver's choice inside worker processes.
 
@@ -38,7 +36,6 @@ from typing import Iterator, Optional
 from . import blas
 from .base import KernelBackend, SweepStats, select, selector_length
 from .fused import FusedBackend
-from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
 from .reference import NumpyBackend
 
 __all__ = [
@@ -57,10 +54,8 @@ __all__ = [
     "selector_length",
 ]
 
-#: Every name ``SolverConfig.kernel_backend`` accepts (availability is
-#: checked at solve time, so a config naming ``numba`` stays valid on a
-#: machine without numba — it just falls back).
-KNOWN_KERNEL_BACKENDS: tuple[str, ...] = ("numpy", "fused", "numba")
+#: Every name ``SolverConfig.kernel_backend`` accepts.
+KNOWN_KERNEL_BACKENDS: tuple[str, ...] = ("numpy", "fused")
 
 DEFAULT_KERNEL_BACKEND = "fused"
 
@@ -71,8 +66,6 @@ _REGISTRY: dict[str, KernelBackend] = {
     "numpy": NumpyBackend(),
     "fused": FusedBackend(),
 }
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    _REGISTRY["numba"] = NumbaBackend()
 
 _ACTIVE: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
     "repro_kernel_backend", default=None
@@ -82,8 +75,8 @@ _WARNED: set[str] = set()
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the backends registered in this process, in registry order."""
-    return tuple(name for name in KNOWN_KERNEL_BACKENDS if name in _REGISTRY)
+    """Names of the registered backends, in registry order."""
+    return tuple(_REGISTRY)
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -107,9 +100,7 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve a backend request to the name of a registered backend.
 
     ``None`` defers to ``REPRO_KERNEL_BACKEND`` and then the default.
-    Unknown names fall back to the default, unavailable-but-known names
-    (``numba`` without numba) to the ``numpy`` reference — each with a
-    one-time warning.
+    Unknown names fall back to the default with a one-time warning.
     """
     requested = name or os.environ.get(KERNEL_BACKEND_ENV) or DEFAULT_KERNEL_BACKEND
     if requested not in KNOWN_KERNEL_BACKENDS:
@@ -118,12 +109,6 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
             f"falling back to {DEFAULT_KERNEL_BACKEND!r}"
         )
         requested = DEFAULT_KERNEL_BACKEND
-    if requested not in _REGISTRY:
-        _warn_once(
-            f"kernel backend {requested!r} is not available in this environment; "
-            "falling back to 'numpy'"
-        )
-        requested = "numpy"
     return requested
 
 

@@ -95,7 +95,7 @@ class KernelBackend(abc.ABC):
     for which outputs must match bit for bit.
     """
 
-    #: Registry name (``numpy``, ``fused``, ``numba``).
+    #: Registry name (``numpy`` or ``fused``).
     name: str = "?"
 
     # ------------------------------------------------------------------ #

@@ -174,9 +174,6 @@ class LinearProgram(LPTypeProblem):
     def payload_num_coefficients(self) -> int:
         return self.dimension + 1
 
-    def constraint_payload(self, index: int) -> tuple[np.ndarray, float]:
-        return self.a[index].copy(), float(self.b[index])
-
     def solve_subset(self, indices: Sequence[int]) -> BasisResult:
         # Growth rounds of the working-set loop skip the lexicographic
         # refinement (d extra LP solves) — only the final exact solve pays it.

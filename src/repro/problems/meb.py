@@ -136,9 +136,6 @@ class MinimumEnclosingBall(LPTypeProblem):
     def payload_num_coefficients(self) -> int:
         return self.dimension
 
-    def constraint_payload(self, index: int) -> np.ndarray:
-        return self.points[index].copy()
-
     def solve_subset(self, indices: Sequence[int]) -> BasisResult:
         return working_set_solve(self, as_index_array(indices), self._solve_subset_direct)
 

@@ -126,9 +126,6 @@ class LinearSVM(LPTypeProblem):
     def payload_num_coefficients(self) -> int:
         return self.dimension + 1
 
-    def constraint_payload(self, index: int) -> tuple[np.ndarray, float]:
-        return self.points[index].copy(), float(self.labels[index])
-
     def solve_subset(self, indices: Sequence[int]) -> BasisResult:
         return working_set_solve(self, as_index_array(indices), self._solve_subset_direct)
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import SolverConfig
+from repro.core.clarkson import ClarksonModel
+from repro.core.engine import ViolationStats
 from repro.workloads import random_feasible_lp, random_polytope_lp
 
 
@@ -48,3 +50,27 @@ def assert_objective_close(value_a, value_b, tolerance: float = 1e-5) -> None:
     b = getattr(value_b, "objective", value_b)
     assert np.isfinite(a) and np.isfinite(b)
     assert abs(a - b) <= tolerance * max(1.0, abs(a), abs(b)), (a, b)
+
+
+class ScriptedModel(ClarksonModel):
+    """A model for deterministic engine-loop tests.
+
+    Every ``draw`` returns the same fixed sample, and ``measure`` plays back
+    a scripted sequence of ``(num_violators, weight_fraction)`` pairs.
+    """
+
+    def __init__(self, problem, script, sample=range(5)):
+        super().__init__(problem, SolverConfig(seed=0), None)
+        self.sample = np.asarray(sample, dtype=int)
+        self.script = list(script)
+        self.boosts = 0
+
+    def draw(self, sample_size):
+        return self.sample
+
+    def measure(self, sample, basis):
+        num_violators, fraction = self.script.pop(0)
+        return ViolationStats(num_violators=num_violators, weight_fraction=fraction)
+
+    def boost(self, stats):
+        self.boosts += 1

@@ -13,17 +13,12 @@ import numpy as np
 import pytest
 
 from repro import SolverConfig, solve, solve_many
-from repro.core.engine import (
-    BasisCache,
-    ClarksonEngine,
-    EngineConfig,
-    SamplingStrategy,
-    ViolationStats,
-    WeightSubstrate,
-)
+from repro.core.engine import BasisCache, ClarksonEngine, EngineConfig
 from repro.core.lptype import BasisResult
 from repro.problems.meb import MinimumEnclosingBall
 from repro.workloads import random_polytope_lp, uniform_ball_points
+
+from tests.conftest import ScriptedModel
 
 
 class TestBasisCacheUnit:
@@ -59,51 +54,17 @@ class TestBasisCacheUnit:
             BasisCache(capacity=0)
 
 
-class _RepeatingSampler(SamplingStrategy):
-    """Always returns the same sample, so the second solve must cache-hit."""
-
-    def __init__(self, sample):
-        self.sample = np.asarray(sample, dtype=int)
-
-    def draw(self, sample_size):
-        return self.sample
-
-
-class _ScriptedSubstrate(WeightSubstrate):
-    def __init__(self, script):
-        self.script = list(script)
-
-    def measure(self, sample, basis):
-        num_violators, fraction = self.script.pop(0)
-        return ViolationStats(num_violators=num_violators, weight_fraction=fraction)
-
-    def boost(self, stats):
-        pass
-
-
 class TestEngineIntegration:
     def test_repeated_sample_hits_cache(self, medium_lp):
+        # The scripted model draws the same sample every iteration, so only
+        # the first iteration's solve misses the cache.
+        model = ScriptedModel(medium_lp, [(3, 0.5), (3, 0.5), (0, 0.0)], np.arange(30))
         engine = ClarksonEngine(
-            problem=medium_lp,
-            sampler=_RepeatingSampler(np.arange(30)),
-            substrate=_ScriptedSubstrate([(3, 0.5), (3, 0.5), (0, 0.0)]),
-            config=EngineConfig(sample_size=30, epsilon=0.1, budget=10),
+            model, EngineConfig(sample_size=30, epsilon=0.1, budget=10)
         )
         outcome = engine.run()
         assert outcome.cache_misses == 1
         assert outcome.cache_hits == 2
-
-    def test_cache_disabled_reports_zero(self, medium_lp):
-        engine = ClarksonEngine(
-            problem=medium_lp,
-            sampler=_RepeatingSampler(np.arange(30)),
-            substrate=_ScriptedSubstrate([(0, 0.0)]),
-            config=EngineConfig(sample_size=30, epsilon=0.1, budget=10, basis_cache=False),
-        )
-        outcome = engine.run()
-        assert engine.basis_cache is None
-        assert outcome.cache_hits == 0
-        assert outcome.cache_misses == 0
 
 
 def _problems():
@@ -141,13 +102,19 @@ def test_repeated_solve_bit_identical_with_cache(model, family):
     _assert_identical(first, second)
 
 
-def test_cache_toggle_does_not_change_results():
+def test_cache_toggle_does_not_change_results(monkeypatch):
     problem = _problems()["lp"]
     cached = solve(problem, model="sequential", config=_config(problem))
-    uncached = solve(
-        problem, model="sequential", config=_config(problem, basis_cache=False)
-    )
-    assert uncached.resources.basis_cache_misses == 0
+    # A cache whose lookups always miss solves every sample afresh.
+    lookup = BasisCache.get
+
+    def miss(self, key):
+        lookup(self, key)
+        return None
+
+    monkeypatch.setattr(BasisCache, "get", miss)
+    uncached = solve(problem, model="sequential", config=_config(problem))
+    assert uncached.resources.basis_cache_hits == 0
     assert cached.value == uncached.value
     assert cached.iterations == uncached.iterations
     np.testing.assert_allclose(

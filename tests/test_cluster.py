@@ -607,3 +607,4 @@ def test_listen_agent_serves_a_dialing_coordinator(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=5.0)
+        proc.stdout.close()

@@ -1,66 +1,31 @@
-"""Unit tests for the model-agnostic Clarkson engine and its strategies."""
+"""Unit tests for the model-agnostic Clarkson engine and its models."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    ClarksonEngine,
-    EngineConfig,
-    ExplicitWeightSubstrate,
-    InMemorySampling,
-    SamplingStrategy,
-    ViolationOracle,
-    ViolationStats,
-    WeightSubstrate,
-    iteration_budget,
-)
+from repro import SolverConfig, solve
+from repro.core.clarkson import SequentialModel
+from repro.core.engine import ClarksonEngine, EngineConfig, iteration_budget
 from repro.core.exceptions import InvalidConfigError, IterationLimitError
-from repro.core.lptype import BasisResult
-from repro.core.weights import ExplicitWeights
 from repro.workloads import random_polytope_lp
 
-from tests.conftest import assert_objective_close
+from tests.conftest import ScriptedModel, assert_objective_close
 
 
-class _ScriptedSampler(SamplingStrategy):
-    """Returns a fixed sample every iteration (for deterministic loop tests)."""
-
-    def __init__(self, sample):
-        self.sample = np.asarray(sample, dtype=int)
-        self.draws = 0
-
-    def draw(self, sample_size):
-        self.draws += 1
-        return self.sample
-
-
-class _ScriptedSubstrate(WeightSubstrate):
-    """Plays back a scripted sequence of (num_violators, fraction) pairs."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.boosts = 0
-
-    def measure(self, sample, basis):
-        num_violators, fraction = self.script.pop(0)
-        return ViolationStats(num_violators=num_violators, weight_fraction=fraction)
-
-    def boost(self, stats):
-        self.boosts += 1
-
-
-def _make_engine(problem, substrate, budget=10, epsilon=0.1, keep_trace=True):
-    return ClarksonEngine(
-        problem=problem,
-        sampler=_ScriptedSampler(np.arange(5)),
-        substrate=substrate,
-        config=EngineConfig(
+def _make_engine(problem, script, budget=10, epsilon=0.1, keep_trace=True):
+    model = ScriptedModel(problem, script)
+    engine = ClarksonEngine(
+        model,
+        EngineConfig(
             sample_size=5, epsilon=epsilon, budget=budget, keep_trace=keep_trace,
             name="scripted",
         ),
     )
+    return engine, model
 
 
 @pytest.fixture(scope="module")
@@ -70,23 +35,23 @@ def lp_problem():
 
 class TestEngineLoop:
     def test_terminates_on_empty_violator_set(self, lp_problem):
-        substrate = _ScriptedSubstrate([(3, 0.5), (0, 0.0)])
-        outcome = _make_engine(lp_problem, substrate).run()
+        engine, model = _make_engine(lp_problem, [(3, 0.5), (0, 0.0)])
+        outcome = engine.run()
         assert outcome.iterations == 2
         assert outcome.successful_iterations == 0
-        assert substrate.boosts == 0
+        assert model.boosts == 0
 
     def test_boost_only_on_success(self, lp_problem):
         # Iter 0: fail (fraction > eps). Iter 1: success. Iter 2: terminate.
-        substrate = _ScriptedSubstrate([(5, 0.9), (4, 0.05), (0, 0.0)])
-        outcome = _make_engine(lp_problem, substrate, epsilon=0.1).run()
-        assert substrate.boosts == 1
+        engine, model = _make_engine(lp_problem, [(5, 0.9), (4, 0.05), (0, 0.0)])
+        outcome = engine.run()
+        assert model.boosts == 1
         assert outcome.successful_iterations == 1
         assert [rec.successful for rec in outcome.trace] == [False, True, True]
 
     def test_trace_records_iteration_story(self, lp_problem):
-        substrate = _ScriptedSubstrate([(7, 0.04), (0, 0.0)])
-        outcome = _make_engine(lp_problem, substrate).run()
+        engine, _ = _make_engine(lp_problem, [(7, 0.04), (0, 0.0)])
+        outcome = engine.run()
         assert len(outcome.trace) == outcome.iterations == 2
         assert outcome.trace[0].num_violators == 7
         assert outcome.trace[0].violator_weight_fraction == pytest.approx(0.04)
@@ -94,15 +59,15 @@ class TestEngineLoop:
         assert all(rec.sample_size == 5 for rec in outcome.trace)
 
     def test_keep_trace_disabled(self, lp_problem):
-        substrate = _ScriptedSubstrate([(3, 0.05), (0, 0.0)])
-        outcome = _make_engine(lp_problem, substrate, keep_trace=False).run()
+        engine, _ = _make_engine(lp_problem, [(3, 0.05), (0, 0.0)], keep_trace=False)
+        outcome = engine.run()
         assert outcome.trace == []
         assert outcome.iterations == 2
 
     def test_budget_exhaustion_raises(self, lp_problem):
-        substrate = _ScriptedSubstrate([(5, 0.9)] * 4)
+        engine, _ = _make_engine(lp_problem, [(5, 0.9)] * 4, budget=4)
         with pytest.raises(IterationLimitError):
-            _make_engine(lp_problem, substrate, budget=4).run()
+            engine.run()
 
 
 class TestIterationBudget:
@@ -121,58 +86,63 @@ class TestIterationBudget:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_solver_config_rejects_non_positive_budget(self, bad):
-        from repro import SolverConfig
-
         with pytest.raises(InvalidConfigError, match="max_iterations"):
             SolverConfig(max_iterations=bad)
 
 
 class TestInMemoryBinding:
     def test_solves_lp_through_raw_engine(self, lp_problem):
-        gen = np.random.default_rng(5)
-        weights = ExplicitWeights.uniform(lp_problem.num_constraints, 40.0)
-        substrate = ExplicitWeightSubstrate(lp_problem, weights)
+        model = SequentialModel(lp_problem, SolverConfig(seed=5), None)
+        model.install(40.0, "numpy")
         engine = ClarksonEngine(
-            problem=lp_problem,
-            sampler=InMemorySampling(weights, gen),
-            substrate=substrate,
-            config=EngineConfig(
-                sample_size=400, epsilon=0.02, budget=500, name="in-memory"
-            ),
+            model,
+            EngineConfig(sample_size=400, epsilon=0.02, budget=500, name="in-memory"),
         )
         outcome = engine.run()
         assert_objective_close(outcome.basis.value, lp_problem.solve().value)
-        assert substrate.peak_items > 0
+        assert model.peak_items > 0
+        assert model.oracle_calls == outcome.iterations
 
     def test_peak_tracks_sample_plus_bases(self, lp_problem):
-        weights = ExplicitWeights.uniform(lp_problem.num_constraints, 40.0)
-        substrate = ExplicitWeightSubstrate(lp_problem, weights)
+        model = SequentialModel(lp_problem, SolverConfig(seed=5), None)
+        model.install(40.0, "numpy")
         basis = lp_problem.solve_subset(np.arange(40))
-        substrate.measure(np.arange(40), basis)
+        model.measure(np.arange(40), basis)
         nu = lp_problem.combinatorial_dimension
-        assert substrate.peak_items == 40 + nu
+        assert model.peak_items == 40 + nu
 
 
-class TestViolationOracle:
-    def test_mask_matches_scalar_violates(self, lp_problem):
-        oracle = ViolationOracle(lp_problem)
-        basis = lp_problem.solve_subset(np.arange(30))
-        indices = np.arange(200)
-        mask = oracle.mask(basis.witness, indices)
-        expected = np.array(
-            [lp_problem.violates(basis.witness, int(i)) for i in indices]
-        )
-        assert np.array_equal(mask, expected)
-        assert np.array_equal(oracle.violating(basis.witness, indices), indices[expected])
+#: ``resources.oracle_calls`` of a cold engine run, per model: the
+#: sequential sweep once per iteration; the stream reader's three passes over
+#: ``ceil(n / 8192)`` chunks (one sampling pass, the verification pass
+#: counted twice); one violation round over the ``k`` sites; and on the
+#: ``k`` MPC machines one statistics sweep per iteration plus one
+#: implicit-weight sweep per weight version (the cold start and each boost).
+ORACLE_CALLS = {
+    "sequential": lambda n, k, it, ok: it,
+    "streaming": lambda n, k, it, ok: 3 * math.ceil(n / 8192) * it,
+    "coordinator": lambda n, k, it, ok: k * it,
+    "mpc": lambda n, k, it, ok: k * (it + 1 + ok),
+}
 
-    def test_count_matrix_sums_masks(self, lp_problem):
-        oracle = ViolationOracle(lp_problem)
-        witnesses = [
-            lp_problem.solve_subset(np.arange(k, k + 25)).witness for k in (0, 50, 100)
-        ]
-        indices = np.arange(300)
-        counts = oracle.count_matrix(witnesses, indices)
-        expected = sum(
-            oracle.mask(w, indices).astype(int) for w in witnesses
-        )
-        assert np.array_equal(counts, expected)
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "model, overrides",
+    [
+        ("sequential", {}),
+        ("streaming", {}),
+        ("coordinator", {"num_sites": 4}),
+        ("mpc", {"delta": 0.5, "num_machines": 8}),
+    ],
+)
+def test_oracle_calls_per_model(model, overrides, seed):
+    n = 20_000
+    problem = random_polytope_lp(n, 3, seed=seed).problem
+    config = SolverConfig.practical(problem, r=2)
+    result = solve(problem, model=model, config=config, seed=seed, **overrides)
+    assert result.iterations >= 2  # an engine run, not a direct solve
+    expected = ORACLE_CALLS[model](
+        n, result.metadata.get("k"), result.iterations, result.successful_iterations
+    )
+    assert result.resources.oracle_calls == expected

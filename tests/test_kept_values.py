@@ -31,7 +31,7 @@ import pytest
 from repro import TransportConfig, solve
 from repro.api.session import Session
 from repro.core.context import solve_scope
-from repro.core.engine import ViolationOracle
+from repro.core.clarkson import ClarksonModel
 from repro.fabric import shm
 from repro.fabric.transport import InProcessTransport, transport_for
 from repro.resilience import FaultPlan, FaultSpec
@@ -367,13 +367,13 @@ def test_a_direct_mpc_solve_installs_nothing():
 def test_a_warm_direct_coordinator_solve_installs_only_the_shares(monkeypatch):
     problem = _lp_instance()
     sweeps = []
-    count_matrix = ViolationOracle.count_matrix
+    warm_exponents = ClarksonModel.warm_exponents
 
-    def counting(self, *args, **kwargs):
-        sweeps.append(args)
-        return count_matrix(self, *args, **kwargs)
+    def counting(self):
+        sweeps.append(self)
+        return warm_exponents(self)
 
-    monkeypatch.setattr(ViolationOracle, "count_matrix", counting)
+    monkeypatch.setattr(ClarksonModel, "warm_exponents", counting)
     transport = _CountingTransport()
     with solve_scope(transport=transport):
         with Session(model="coordinator", seed=0, r=2, num_sites=4, **FAST) as session:

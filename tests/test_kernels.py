@@ -4,9 +4,9 @@ The kernel layer's contract (see ``repro/kernels/base.py``): every backend
 returns bit-identical violation masks, counts, float64 scores, and sample
 indices; weight *sums* are the one sanctioned exception (blocked accumulation
 may differ in ulps), so they are compared to tolerance.  The grid pins the
-``fused`` (and, where importable, ``numba``) backends against
-the ``numpy`` reference across all four problem families, plus the batched
-basis solves, the Gumbel sampler, and the resolution/fallback rules.
+``fused`` backend against the ``numpy`` reference across all four problem
+families, plus the batched basis solves, the Gumbel sampler, and the
+resolution/fallback rules.
 """
 
 from __future__ import annotations
@@ -437,15 +437,6 @@ def test_resolution_precedence(monkeypatch):
         assert kernels.resolve_backend_name(None) == kernels.DEFAULT_KERNEL_BACKEND
 
 
-@pytest.mark.skipif(
-    "numba" in BACKENDS, reason="numba installed: no fallback to exercise"
-)
-def test_known_but_unavailable_backend_falls_back_to_numpy(monkeypatch):
-    monkeypatch.setattr(kernels, "_WARNED", set())
-    with pytest.warns(RuntimeWarning, match="'numba' is not available"):
-        assert kernels.resolve_backend_name("numba") == "numpy"
-
-
 def test_use_backend_nests_and_restores():
     default = kernels.active_backend_name()
     with kernels.use_backend("numpy") as outer:
@@ -461,9 +452,9 @@ def test_config_validates_kernel_backend():
     from repro.core.exceptions import InvalidConfigError
 
     SolverConfig(kernel_backend="fused")     # valid
-    SolverConfig(kernel_backend="numba")     # known everywhere, resolved later
-    with pytest.raises(InvalidConfigError, match="kernel_backend"):
-        SolverConfig(kernel_backend="cuda")
+    for name in ("numba", "cuda"):
+        with pytest.raises(InvalidConfigError, match="kernel_backend"):
+            SolverConfig(kernel_backend=name)
 
 
 def test_env_var_reaches_solve(monkeypatch):

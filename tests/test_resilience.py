@@ -346,6 +346,24 @@ class TestSupervisedTransport:
         finally:
             session.close()
 
+    def test_every_solve_after_degradation_is_flagged(self):
+        problem = _build_problem("lp")
+        session = _supervised_session(max_restarts=0)
+        try:
+            transport = session._transport
+            transport._ensure_started()
+            transport.kill_worker(0)
+            flags = []
+            for _ in range(3):
+                session.reset()
+                flags.append(session.solve(problem).metadata.get("transport_degraded"))
+            # Only the first solve degrades the transport; the later ones
+            # run in-process all the same and must say so.
+            assert flags == [True, True, True]
+            assert session.transport_health()["degraded"] is True
+        finally:
+            session.close()
+
     def test_terminal_failure_is_typed_not_a_hang(self):
         problem = _build_problem("lp")
         session = _supervised_session(max_restarts=0)

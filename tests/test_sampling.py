@@ -2,21 +2,54 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling import (
-    ExponentialKeyReservoir,
-    WeightedReservoirSampler,
-    iter_chunks,
+    _TINY_UNIFORM,
     multinomial_split,
     normalise_weights,
-    stream_weighted_sample,
-    weighted_sample_with_replacement,
     weighted_sample_without_replacement,
 )
+
+
+class ExponentialKeyReservoir:
+    """One-at-a-time Efraimidis-Spirakis reservoir: the oracle for the batch keys.
+
+    Offering items one by one, each draws ``u`` and keeps the
+    ``capacity`` largest keys ``log(u) / w`` in a min-heap.  The library
+    draws the same keys in batches (``exponential_keys``, chunk by chunk in
+    the stream reader), so the two must agree on the same randomness.
+    """
+
+    def __init__(self, capacity, rng):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.rng = np.random.default_rng(rng)
+        # Heap of (key, tiebreak, item); the root is the smallest (worst) key.
+        self._heap = []
+        self.items_seen = 0
+
+    def offer(self, item, weight):
+        self.items_seen += 1
+        if weight == 0:
+            return
+        key = np.log(max(self.rng.random(), _TINY_UNIFORM)) / weight
+        if len(self._heap) < self.capacity:
+            heapq.heappush(self._heap, (key, self.items_seen, item))
+        elif key > self._heap[0][0]:
+            heapq.heapreplace(self._heap, (key, self.items_seen, item))
+
+    def sample(self):
+        return [item for _, _, item in self._heap]
+
+    def __len__(self):
+        return len(self._heap)
 
 
 class TestNormaliseWeights:
@@ -40,28 +73,6 @@ class TestNormaliseWeights:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             normalise_weights(np.ones((2, 2)))
-
-
-class TestWithReplacement:
-    def test_size_and_range(self):
-        idx = weighted_sample_with_replacement([1.0] * 10, 50, rng=0)
-        assert idx.shape == (50,)
-        assert idx.min() >= 0 and idx.max() < 10
-
-    def test_zero_weight_never_sampled(self):
-        weights = [1.0, 0.0, 1.0]
-        idx = weighted_sample_with_replacement(weights, 500, rng=1)
-        assert 1 not in set(idx.tolist())
-
-    def test_empirical_proportions(self):
-        weights = [1.0, 3.0]
-        idx = weighted_sample_with_replacement(weights, 20_000, rng=2)
-        frac = np.mean(idx == 1)
-        assert abs(frac - 0.75) < 0.02
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_sample_with_replacement([1.0], -1)
 
 
 class TestWithoutReplacement:
@@ -107,60 +118,28 @@ class TestMultinomialSplit:
         assert counts.sum() == 0
 
 
-class TestWeightedReservoirSampler:
-    def test_single_item(self):
-        sampler = WeightedReservoirSampler.create(rng=0)
-        sampler.offer("a", 1.0)
-        assert sampler.item == "a"
-        assert not sampler.is_empty
-
-    def test_zero_weight_items_ignored(self):
-        sampler = WeightedReservoirSampler.create(rng=0)
-        sampler.offer("a", 0.0)
-        assert sampler.is_empty
-        sampler.offer("b", 1.0)
-        sampler.offer("c", 0.0)
-        assert sampler.item == "b"
-
-    def test_negative_weight_rejected(self):
-        sampler = WeightedReservoirSampler.create(rng=0)
-        with pytest.raises(ValueError):
-            sampler.offer("a", -1.0)
-
-    def test_distribution_matches_weights(self):
-        weights = {"a": 1.0, "b": 2.0, "c": 7.0}
-        counts = {k: 0 for k in weights}
-        for seed in range(3000):
-            sampler = WeightedReservoirSampler.create(rng=seed)
-            for key, weight in weights.items():
-                sampler.offer(key, weight)
-            counts[sampler.item] += 1
-        assert abs(counts["c"] / 3000 - 0.7) < 0.04
-        assert abs(counts["a"] / 3000 - 0.1) < 0.03
-
-
 class TestExponentialKeyReservoir:
     def test_capacity_respected(self):
-        reservoir = ExponentialKeyReservoir.create(5, rng=0)
+        reservoir = ExponentialKeyReservoir(5, rng=0)
         for i in range(100):
             reservoir.offer(i, 1.0)
         assert len(reservoir) == 5
         assert len(set(reservoir.sample())) == 5
 
     def test_fewer_items_than_capacity(self):
-        reservoir = ExponentialKeyReservoir.create(10, rng=0)
+        reservoir = ExponentialKeyReservoir(10, rng=0)
         for i in range(3):
             reservoir.offer(i, 1.0)
         assert sorted(reservoir.sample()) == [0, 1, 2]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            ExponentialKeyReservoir.create(0, rng=0)
+            ExponentialKeyReservoir(0, rng=0)
 
     def test_heavy_item_usually_kept(self):
         hits = 0
         for seed in range(300):
-            reservoir = ExponentialKeyReservoir.create(3, rng=seed)
+            reservoir = ExponentialKeyReservoir(3, rng=seed)
             for i in range(50):
                 reservoir.offer(i, 100.0 if i == 17 else 1.0)
             hits += int(17 in reservoir.sample())
@@ -223,7 +202,7 @@ class TestReservoirHeap:
         the two must produce the same sample from the same seed."""
         rng = np.random.default_rng(90)
         weights = rng.uniform(0.1, 10.0, size=200)
-        reservoir = ExponentialKeyReservoir.create(12, rng=np.random.default_rng(7))
+        reservoir = ExponentialKeyReservoir(12, rng=np.random.default_rng(7))
         for i, w in enumerate(weights):
             reservoir.offer(i, float(w))
         batch = weighted_sample_without_replacement(
@@ -236,34 +215,12 @@ class TestReservoirHeap:
         # saw can be recomputed independently from the same seed; the sample
         # must be exactly the argmax-5 of those keys.
         weights = np.linspace(0.5, 4.0, 100)
-        reservoir = ExponentialKeyReservoir.create(5, rng=np.random.default_rng(3))
+        reservoir = ExponentialKeyReservoir(5, rng=np.random.default_rng(3))
         for i, w in enumerate(weights):
             reservoir.offer(i, float(w))
         keys = np.log(np.random.default_rng(3).random(100)) / weights
         expected = set(np.argsort(keys)[::-1][:5].tolist())
         assert set(reservoir.sample()) == expected
-
-
-class TestStreamWeightedSample:
-    def test_with_replacement_size(self):
-        stream = [(i, 1.0) for i in range(50)]
-        sample = stream_weighted_sample(iter(stream), 8, rng=0, with_replacement=True)
-        assert len(sample) == 8
-
-    def test_without_replacement_distinct(self):
-        stream = [(i, 1.0 + i) for i in range(50)]
-        sample = stream_weighted_sample(iter(stream), 8, rng=0, with_replacement=False)
-        assert len(sample) == len(set(sample)) == 8
-
-
-class TestIterChunks:
-    def test_chunks(self):
-        chunks = list(iter_chunks(list(range(7)), 3))
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks([1, 2], 0))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,12 @@
-"""Unit tests for the explicit and implicit (basis-derived) weight oracles."""
+"""Unit tests for the explicit and implicit (basis-derived) weights."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.weights import ExplicitWeights, ImplicitWeights, boost_factor
+from repro.core.weights import ExplicitWeights, boost_factor
+from repro.workloads import random_polytope_lp
 
 
 class TestBoostFactor:
@@ -41,17 +42,6 @@ class TestExplicitWeights:
         weights.multiply([])
         assert np.allclose(weights.weights(), 1.0)
 
-    def test_fraction(self):
-        weights = ExplicitWeights.uniform(4, boost=3.0)
-        assert weights.fraction([0, 1]) == pytest.approx(0.5)
-        weights.multiply([0])
-        # Weights are now 3, 1, 1, 1: indices {0} carry 0.5 of the total.
-        assert weights.fraction([0]) == pytest.approx(0.5)
-
-    def test_fraction_empty_is_zero(self):
-        weights = ExplicitWeights.uniform(4, boost=3.0)
-        assert weights.fraction([]) == 0.0
-
     def test_total_weight_log(self):
         weights = ExplicitWeights.uniform(4, boost=np.e)
         assert weights.total_weight_log() == pytest.approx(np.log(4.0))
@@ -65,7 +55,7 @@ class TestExplicitWeights:
         w = weights.weights()
         assert np.isfinite(w).all()
         assert w[0] == pytest.approx(1.0)
-        assert weights.fraction([0]) == pytest.approx(1.0)
+        assert w[0] / w.sum() == pytest.approx(1.0)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -75,49 +65,21 @@ class TestExplicitWeights:
 
 
 class TestImplicitWeights:
-    @staticmethod
-    def _make(boost=4.0):
-        # A basis here is just a threshold; constraint i "violates" basis t
-        # when i >= t.  This gives an easy closed form for the exponents.
-        return ImplicitWeights(boost=boost, violates=lambda t, i: i >= t)
-
-    def test_no_bases_means_uniform(self):
-        weights = self._make()
-        assert weights.exponent(3) == 0
-        assert weights.weight(3) == pytest.approx(1.0)
-
-    def test_exponent_counts_violated_bases(self):
-        weights = self._make()
-        weights.record_basis(2)
-        weights.record_basis(5)
-        assert weights.exponent(1) == 0
-        assert weights.exponent(3) == 1
-        assert weights.exponent(7) == 2
-        assert weights.num_bases == 2
-
-    def test_weight_relative_to_reference(self):
-        weights = self._make(boost=3.0)
-        weights.record_basis(0)
-        assert weights.weight(5, reference_exponent=1) == pytest.approx(1.0)
-        assert weights.weight(5, reference_exponent=0) == pytest.approx(3.0)
-
-    def test_log_weight(self):
-        weights = self._make(boost=np.e)
-        weights.record_basis(0)
-        weights.record_basis(0)
-        assert weights.log_weight(5) == pytest.approx(2.0)
-
     def test_matches_explicit_weights(self):
-        """The streaming implicit weights equal the explicit ones for the same history."""
+        """Section 3.2: boosting the violators of each stored basis gives the
+        weights ``boost ** #violated-stored-bases`` that the streaming reader
+        and the MPC machines recompute from the stored witnesses."""
+        problem = random_polytope_lp(600, 2, seed=4).problem
         boost = 7.0
-        explicit = ExplicitWeights.uniform(10, boost=boost)
-        implicit = self._make(boost=boost)
-        history = [4, 8, 2]
-        for threshold in history:
-            violators = [i for i in range(10) if i >= threshold]
-            explicit.multiply(violators)
-            implicit.record_basis(threshold)
-        explicit_w = explicit.weights()
-        max_exp = max(implicit.exponent(i) for i in range(10))
-        implicit_w = np.array([implicit.weight(i, reference_exponent=max_exp) for i in range(10)])
-        assert np.allclose(explicit_w / explicit_w.sum(), implicit_w / implicit_w.sum())
+        witnesses = [
+            problem.solve_subset(np.arange(k, k + 40)).witness for k in (0, 200, 400)
+        ]
+        explicit = ExplicitWeights.uniform(problem.num_constraints, boost)
+        for witness in witnesses:
+            explicit.multiply(
+                np.flatnonzero(problem.violation_mask(witness, problem.all_indices()))
+            )
+        exponents = problem.violation_count_matrix(witnesses, problem.all_indices())
+        assert exponents.max() >= 2  # the boosts overlap
+        implicit = ExplicitWeights.from_exponents(exponents, boost)
+        np.testing.assert_allclose(implicit.log_weights, explicit.log_weights)
