@@ -1,20 +1,21 @@
-"""Live-serve chaos smoke: SIGKILL a pool worker mid-ticket, correct result.
+"""Live-serve chaos smoke: SIGKILL a worker mid-ticket, correct result.
 
 Boots an in-process :class:`~repro.server.ReproServer` whose sessions run on
-the **process transport** (real worker processes), submits a large
+the **process transport** (pool worker processes) or, with ``--kind tcp``,
+on the **TCP transport** (loopback node agents), submits a large
 coordinator-model ticket, and — as soon as the SSE stream reports the first
-solver iteration — SIGKILLs one of the session's live pool workers.  The
+solver iteration — SIGKILLs one of the session's live workers.  The
 transport must detect the crash, respawn the worker, replay its journal, and
 finish the ticket with a ``repro-result/1`` payload **bit-identical** to the
 fault-free in-process ``repro.solve()`` reference.  Any divergence, hang
 (deadline), or raw pool error exits non-zero.
 
 This is the CI chaos gate for the full service path: HTTP front end →
-SolverService retry loop → session → transport crash recovery.
+SolverService → session → transport crash recovery.
 
 Run with::
 
-    PYTHONPATH=src python benchmarks/chaos_serve_smoke.py
+    PYTHONPATH=src python benchmarks/chaos_serve_smoke.py [--kind tcp]
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ CONFIG = dict(
     seed=0,
     keep_trace=True,
 )
-TRANSPORT = {"kind": "process", "max_workers": 2, "reuse_pool": False}
+TRANSPORT = {"max_workers": 2, "reuse_pool": False}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=20000)
     parser.add_argument("--timeout", type=float, default=180.0)
+    parser.add_argument("--kind", choices=("process", "tcp"), default="process")
     args = parser.parse_args()
 
     problem = random_polytope_lp(args.n, 2, seed=31).problem
@@ -54,13 +56,13 @@ def main() -> int:
         port=0,
         model="coordinator",
         max_workers=1,
-        transport=dict(TRANSPORT),
+        transport=dict(TRANSPORT, kind=args.kind),
         **CONFIG,
     ) as server:
         client = ServiceClient(server.url)
         session = server._pool.get("coordinator")
         transport = session._transport
-        assert transport is not None, "expected a process transport"
+        assert transport is not None, f"expected a {args.kind} transport"
         victim_pid = transport.worker_pids()[0]
 
         killed = threading.Event()
@@ -110,7 +112,8 @@ def main() -> int:
             )
 
         print(
-            f"chaos-serve-smoke: killed={killed.is_set()} restarts={restarts} "
+            f"chaos-serve-smoke: kind={args.kind} killed={killed.is_set()} "
+            f"restarts={restarts} "
             f"value={result.value!r} iterations={result.iterations} "
             f"bits={result.resources.total_communication_bits}",
             flush=True,

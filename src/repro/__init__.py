@@ -28,8 +28,8 @@ Cross-model comparisons and batches::
     print(batch.resources_total().rounds)
 
 ``available_models()`` / ``describe_model(name)`` introspect the registry.
-Per-solve request state — budget meter, progress tap, checkpoint store,
-fault plan — travels in one :class:`~repro.core.context.SolveContext`,
+Per-solve request state — budget meter, progress tap, fault plan —
+travels in one :class:`~repro.core.context.SolveContext`,
 installed with :func:`~repro.core.context.solve_scope`.
 """
 

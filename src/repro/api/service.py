@@ -15,6 +15,13 @@ A request that exhausts either aborts with
 :class:`~repro.core.result.ResourceUsage`; the ticket's ``error`` records
 it.  Responses serialise with ``SolveResult.to_dict()`` for wire transport.
 
+A ticket runs exactly once: the session's journaled transport absorbs every
+worker loss (restart or in-process degradation, bit for bit), so no
+transport failure reaches the service to retry.  What does reach it — a
+node task raising in a worker, or any other
+:class:`~repro.core.exceptions.CommunicationError` — fails the ticket and
+counts against the per-model circuit breaker.
+
 Usage::
 
     with SolverService(model="streaming", max_workers=4) as svc:
@@ -30,17 +37,11 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..core.budget import CheckpointStore, ProgressTap, ResourceBudget, start_meter
+from ..core.budget import ProgressTap, ResourceBudget, start_meter
 from ..core.context import solve_scope
-from ..core.exceptions import (
-    BudgetExceededError,
-    CommunicationError,
-    SessionError,
-    TransportFailure,
-)
+from ..core.exceptions import BudgetExceededError, CommunicationError, SessionError
 from ..core.result import SolveResult
 from ..resilience.circuit import CircuitBreaker
-from ..resilience.retry import RetryPolicy
 from .config import SolverConfig
 from .session import Session
 
@@ -127,12 +128,6 @@ class SolverService:
     session:
         Optional externally-owned :class:`Session` to serve from instead of
         creating one (it is *not* closed on shutdown).
-    retry_policy:
-        Bounds the per-ticket retry of *retryable*
-        :class:`~repro.core.exceptions.TransportFailure`: a ticket whose
-        transport crashed is re-run (resuming from the engine's latest
-        checkpoint when the model supports warm restarts) up to
-        ``retry_policy.max_attempts`` total attempts.
     circuit_breaker:
         The per-service :class:`~repro.resilience.circuit.CircuitBreaker`;
         repeated infrastructure failures open it and :meth:`submit` sheds
@@ -145,7 +140,6 @@ class SolverService:
         config: Optional[SolverConfig] = None,
         max_workers: int = 2,
         session: Optional[Session] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         circuit_breaker: Optional[CircuitBreaker] = None,
         **overrides: Any,
     ) -> None:
@@ -159,9 +153,6 @@ class SolverService:
             max_workers=int(max_workers), thread_name_prefix="repro-service"
         )
         self.max_workers = int(max_workers)
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=2, backoff_s=0.05, max_backoff_s=0.5
-        )
         self.breaker = circuit_breaker or CircuitBreaker(
             failure_threshold=5,
             window_s=60.0,
@@ -174,8 +165,6 @@ class SolverService:
         self._counters = {state: 0 for state in ("submitted", "done", "failed", "cancelled")}
         self._running = 0
         self._tenant_counters: dict[str, dict[str, int]] = {}
-        self._transport_retries = 0
-        self._checkpoint_resumes = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -250,8 +239,6 @@ class SolverService:
                 "running": self._running,
                 "queue_depth": max(0, queued),
                 "max_workers": self.max_workers,
-                "transport_retries": self._transport_retries,
-                "checkpoint_resumes": self._checkpoint_resumes,
                 "circuit": self.breaker.describe(),
                 "tenants": {
                     tenant: dict(bucket)
@@ -364,60 +351,15 @@ class SolverService:
             self._running += 1
         try:
             budget = self._effective_budget(ticket)
-            # Per-ticket resilience: a retryable transport failure re-runs
-            # the solve up to retry_policy.max_attempts total attempts,
-            # resuming from the engine's latest checkpoint (the accumulated
-            # basis witnesses) when the model supports warm runs — the
-            # warm==cold determinism contract guarantees the resumed solve
-            # certifies the same basis, value, and witness.  Every attempt's
-            # meter stays anchored at execution start, so the wall budget is
-            # end-to-end across retries.
-            store = CheckpointStore()
-            attempt = 0
-            resumed = False
-            while True:
-                warm = None
-                checkpoint = store.latest()
-                if (
-                    attempt > 0
-                    and checkpoint is not None
-                    and self._session.spec.warm_restart
-                ):
-                    warm = list(checkpoint.witnesses)
-                try:
-                    # Meter, tap, and checkpoint store live in *this* worker
-                    # thread's context (contextvars do not cross threads).
-                    with solve_scope(
-                        meter=start_meter(budget, started_at=ticket.started_at),
-                        tap=tap,
-                        checkpoints=store,
-                    ):
-                        result = self._session.run_cold(
-                            problem, config, warm_witnesses=warm
-                        )
-                    if warm is not None:
-                        resumed = True
-                    break
-                except TransportFailure as exc:
-                    self.breaker.record_failure()
-                    attempt += 1
-                    if not exc.retryable or attempt >= self.retry_policy.max_attempts:
-                        raise
-                    with self._lock:
-                        self._transport_retries += 1
-                    time.sleep(self.retry_policy.delay(attempt - 1))
-            result.resources.transport_retries += attempt
-            if resumed:
-                result.resources.checkpoint_resumes += 1
-                with self._lock:
-                    self._checkpoint_resumes += 1
+            # Meter and tap live in *this* worker thread's context
+            # (contextvars do not cross threads).
+            with solve_scope(
+                meter=start_meter(budget, started_at=ticket.started_at), tap=tap
+            ):
+                result = self._session.run_cold(problem, config)
             self.breaker.record_success()
         except BaseException as exc:  # noqa: BLE001 - forwarded to the ticket
-            if isinstance(exc, CommunicationError) and not isinstance(
-                exc, TransportFailure
-            ):
-                # Infrastructure failure not already counted by the retry
-                # loop above (TransportFailures were recorded per attempt).
+            if isinstance(exc, CommunicationError):
                 self.breaker.record_failure()
             # Outcome first, bookkeeping second: status/error key off the
             # future, so they must never observe "finished" before it is set.

@@ -435,22 +435,15 @@ class Session:
         problem: "LPTypeProblem",
         config: Optional[SolverConfig] = None,
         budget: Optional[ResourceBudget] = None,
-        warm_witnesses: Optional[list] = None,
     ) -> SolveResult:
         """A stateless solve on the session's transport (service/batch path).
 
         Does not touch the session's problem or warm state, so concurrent
         ``run_cold`` calls (the :class:`~repro.api.service.SolverService`
-        worker threads, ``solve_many``) are safe.  ``warm_witnesses`` (for
-        models registered with ``warm_restart``) resumes from checkpointed
-        basis witnesses: by the warm==cold determinism contract the resumed solve
-        certifies the same basis, value, and witness as an uninterrupted
-        run — this is the service's checkpoint-recovery path.
+        worker threads, ``solve_many``) are safe.
         """
         self._check_open()
-        if not self.spec.warm_restart:
-            warm_witnesses = None
-        return self._execute(problem, config or self.config, warm_witnesses, budget)
+        return self._execute(problem, config or self.config, None, budget)
 
     def solve(
         self,
@@ -683,7 +676,6 @@ class SessionPool:
         self._sessions: dict[Any, Session] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._replacements: dict[Any, int] = {}
 
     def _build(self, key: Any) -> Session:
         if self._factory is not None:
@@ -727,28 +719,6 @@ class SessionPool:
             session_obj = self._sessions.pop(key, None)
         if session_obj is not None:
             session_obj.close()
-
-    def replace(self, key: Any) -> Session:
-        """Swap a poisoned session for a fresh one (auto-replacement path).
-
-        The server calls this when a ticket fails with a terminal
-        (``retryable=False``) transport failure: the old session — and its
-        broken worker pool — is closed and a replacement is built on the
-        spot, so the next ticket for this key runs on healthy workers.
-        """
-        with self._lock:
-            if self._closed:
-                raise SessionError("session pool is closed")
-            session_obj = self._sessions.pop(key, None)
-            self._replacements[key] = self._replacements.get(key, 0) + 1
-        if session_obj is not None:
-            session_obj.close()
-        return self.get(key)
-
-    def replacements(self) -> dict:
-        """How many times each key's session was replaced."""
-        with self._lock:
-            return dict(self._replacements)
 
     def close(self) -> None:
         """Close every pooled session and reject further use."""

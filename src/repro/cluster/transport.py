@@ -122,14 +122,9 @@ class TcpTransport(JournaledTransport):
         heartbeat_timeout_s: float = 2.0,
         registration_timeout_s: float = 30.0,
         max_restarts: int = 3,
-        degrade: bool = True,
     ) -> None:
         self.addresses = tuple(_coerce_address(a) for a in addresses)
-        super().__init__(
-            len(self.addresses) or max_workers,
-            max_restarts=max_restarts,
-            degrade=degrade,
-        )
+        super().__init__(len(self.addresses) or max_workers, max_restarts=max_restarts)
         # Spawning defaults to "yes unless explicit agents were given".
         self._spawn = bool(spawn_agents) if spawn_agents is not None else not self.addresses
         self._listen = _coerce_address(listen)
@@ -149,14 +144,28 @@ class TcpTransport(JournaledTransport):
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             registration_timeout_s=self.registration_timeout_s,
         )
-        if self.addresses:
-            return [
-                _MemberChannel(self.registry, self.registry.connect(address))
-                for address in self.addresses
-            ]
-        # Launch every agent before waiting for any: they boot in parallel.
-        procs = [self._launch_agent() for _ in range(self.max_workers)] if self._spawn else []
-        members = self.registry.wait_for(self.max_workers, timeout=self.registration_timeout_s)
+        procs: list[subprocess.Popen] = []
+        try:
+            if self.addresses:
+                return [
+                    _MemberChannel(self.registry, self.registry.connect(address))
+                    for address in self.addresses
+                ]
+            # Launch every agent before waiting for any: they boot in parallel.
+            if self._spawn:
+                for _ in range(self.max_workers):
+                    procs.append(self._launch_agent())
+            members = self.registry.wait_for(
+                self.max_workers, timeout=self.registration_timeout_s
+            )
+        except BaseException:
+            # close() does not shut down a transport that never started, so
+            # a failed start stops its registry and reaps its agents here.
+            self.registry.drain()
+            for proc in procs:
+                proc.kill()
+                proc.wait(timeout=5)
+            raise
         by_pid = {proc.pid: proc for proc in procs}
         return [
             _MemberChannel(

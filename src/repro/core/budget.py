@@ -23,9 +23,7 @@ The same context carries **progress taps** (``tap``): a :class:`ProgressTap`
 receives one event per engine iteration (emitted by the engine loop) and one
 per communication round (emitted by the topology ledger), which is how the
 HTTP front end streams per-round progress over SSE without the drivers
-knowing a network exists.  **Checkpoint stores** (``checkpoints``) complete
-the set: a :class:`CheckpointStore` snapshots the engine's witnesses so a
-failed attempt can resume.
+knowing a network exists.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ __all__ = [
     "ResourceBudget",
     "BudgetMeter",
     "ProgressTap",
-    "Checkpoint",
-    "CheckpointStore",
     "start_meter",
 ]
 
@@ -185,52 +181,3 @@ class ProgressTap:
     def emit(self, event: str, **fields: Any) -> None:
         self._callback({"event": event, **fields})
 
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """One recoverable snapshot of an in-flight solve.
-
-    The engine's entire recoverable state after a successful iteration is
-    the list of certified basis witnesses accumulated so far — the same
-    Section-3.2 representation the warm-start path consumes — because the
-    warm==cold determinism contract guarantees that re-solving on the union
-    of those witnesses certifies the same basis as finishing the original
-    run.  ``iteration`` records how far the solve had progressed when the
-    snapshot was taken (for accounting; the resume itself is witness-driven).
-    """
-
-    iteration: int
-    witnesses: tuple
-
-
-class CheckpointStore:
-    """Collects engine checkpoints during one solve.
-
-    Installed as the per-solve context's ``checkpoints`` field (next to the
-    budget meter and the progress tap), consulted by the engine loop after
-    every *successful* iteration: every ``interval``-th accumulated witness
-    snapshots the full witness list.  The store is in-memory and per-ticket;
-    the service's retry path reads :meth:`latest` to resume a solve whose
-    transport failed mid-run instead of restarting from scratch.
-    """
-
-    def __init__(self, interval: int = 1) -> None:
-        if int(interval) < 1:
-            raise InvalidConfigError(
-                f"CheckpointStore.interval must be >= 1, got {interval!r}"
-            )
-        self.interval = int(interval)
-        self.snapshots = 0
-        self._latest: Optional[Checkpoint] = None
-
-    def record(self, iteration: int, witnesses: Any) -> None:
-        """Snapshot the witness list if it hit an interval boundary."""
-        count = len(witnesses)
-        if count == 0 or count % self.interval != 0:
-            return
-        self._latest = Checkpoint(iteration=int(iteration), witnesses=tuple(witnesses))
-        self.snapshots += 1
-
-    def latest(self) -> Optional[Checkpoint]:
-        """The most recent snapshot, or ``None`` if nothing was recorded."""
-        return self._latest

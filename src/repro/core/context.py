@@ -1,13 +1,13 @@
 """The per-solve context: everything one solve carries besides its arguments.
 
-Budgets, progress feeds, checkpoints, fault plans, recovery notes, the
-session's pinned transport and its shared-memory pin are *request-level*
+Budgets, progress feeds, fault plans, recovery notes, the session's
+pinned transport and its shared-memory pin are *request-level*
 concerns; the drivers stay oblivious to them.  They travel together in one
 frozen :class:`SolveContext` held by one :mod:`contextvars` variable, so a
 solve's state is installed in one place and read field by field where it
 matters:
 
-* the engine loop reads ``meter``, ``tap`` and ``checkpoints`` once per run;
+* the engine loop reads ``meter`` and ``tap`` once per run;
 * the topologies charge every measured message to ``meter`` and consult
   ``fault_plan`` per node dispatch, and the round ledger feeds ``tap``;
 * the transports consult ``fault_plan`` on every delivery, and the
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only (fabric and resilience import core)
     from ..fabric.transport import Transport
     from ..resilience.faults import FaultPlan, RecoveryNotes
-    from .budget import BudgetMeter, CheckpointStore, ProgressTap
+    from .budget import BudgetMeter, ProgressTap
 
 __all__ = ["SolveContext", "solve_context", "solve_scope"]
 
@@ -52,9 +52,6 @@ class SolveContext:
     tap:
         :class:`~repro.core.budget.ProgressTap` receiving per-iteration and
         per-round progress events.
-    checkpoints:
-        :class:`~repro.core.budget.CheckpointStore` snapshotting the engine's
-        witnesses after successful iterations.
     fault_plan:
         :class:`~repro.resilience.faults.FaultPlan` consulted at the fabric's
         probe points.
@@ -73,7 +70,6 @@ class SolveContext:
 
     meter: Optional["BudgetMeter"] = None
     tap: Optional["ProgressTap"] = None
-    checkpoints: Optional["CheckpointStore"] = None
     fault_plan: Optional["FaultPlan"] = None
     recovery: Optional["RecoveryNotes"] = None
     transport: Optional["Transport"] = None

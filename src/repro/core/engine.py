@@ -268,15 +268,11 @@ class ClarksonEngine:
         # Per-request budget (if any): charged once per iteration so a
         # budgeted request aborts at an iteration boundary.  Unbudgeted
         # solves see a single ``None`` check per iteration.  The progress
-        # tap (if any) is the service front end's SSE feed.  The checkpoint
-        # store (if any) is snapshotted after each successful iteration so a
-        # transport failure can resume from the accumulated witnesses
-        # instead of restarting the solve.
+        # tap (if any) is the service front end's SSE feed.
         model = self.model
         context = solve_context()
         meter = context.meter
         tap = context.tap
-        store = context.checkpoints
 
         for iteration in range(config.budget):
             if meter is not None:
@@ -313,8 +309,6 @@ class ClarksonEngine:
                 model.boost(stats)
                 successful += 1
                 successful_witnesses.append(basis.witness)
-                if store is not None:
-                    store.record(iteration, successful_witnesses)
         else:
             raise IterationLimitError(
                 f"{config.name} did not terminate within {config.budget} iterations "

@@ -93,19 +93,18 @@ class TransportFailure(CommunicationError):
     """Raised when a transport's execution substrate fails mid-flight.
 
     Distinguishes *infrastructure* failures (a worker process died, a pipe
-    broke, a pool could not be restarted) from the task-level
+    broke, a socket or heartbeat was lost) from the task-level
     :class:`CommunicationError` a worker reports when user code raises.
-    Callers use :attr:`retryable` to decide whether re-running the solve can
-    succeed:
+    Worker channels raise it and the journaled transport catches it: it
+    restarts the lost worker or degrades to in-process execution, so no
+    ``TransportFailure`` reaches a solve's caller.  It keeps its
+    ``transport_failure`` wire form (see :mod:`repro.server.wire`).
 
     Attributes
     ----------
     retryable:
-        ``True`` when the failure is transient (the transport replaces the
-        lost worker, or a fresh attempt may find a healthy pool);
-        ``False`` when the transport is terminally broken (restart budget
-        exhausted and degradation disabled) and the owning session should be
-        replaced.
+        ``True`` when the failure is transient: the channels raise it for a
+        lost worker, which the transport replaces.
     worker:
         Index of the worker that failed, when known.
     attempts:

@@ -74,7 +74,6 @@ class ResourceUsage:
     basis_cache_hits: int = 0
     basis_cache_misses: int = 0
     transport_retries: int = 0
-    checkpoint_resumes: int = 0
     per_round: list[Mapping[str, int]] = field(default_factory=list)
 
     #: Fields that add up across independent runs (``mode="sum"``).
@@ -89,7 +88,6 @@ class ResourceUsage:
         "basis_cache_hits",
         "basis_cache_misses",
         "transport_retries",
-        "checkpoint_resumes",
     )
     #: Per-message / per-machine maxima: summing them is meaningless, so they
     #: aggregate by maximum in both modes.

@@ -507,10 +507,11 @@ class JournaledTransport(Transport):
     * **Degradation.**  When the attempts run out, the transport degrades
       to an :class:`InProcessTransport` rebuilt from the journal, with each
       kept value loaded once, and runs there only what the journal lacks —
-      still bit-identical — or, with ``degrade=False``, raises a terminal
-      ``TransportFailure(retryable=False)``.
+      still bit-identical.
 
-    A task that raises inside a live worker is not a transport fault: its
+    So no :class:`TransportFailure` leaves a journaled transport: every
+    worker loss costs restarts or the degradation, never an error.  A task
+    that raises inside a live worker is not a transport fault: its
     worker answers with the traceback, which surfaces as a
     :class:`CommunicationError` after every other reply of the batch was
     drained and journaled.  Channel locks are taken in channel-number order
@@ -521,14 +522,11 @@ class JournaledTransport(Transport):
     #: Whether ``init_shared`` exports large arrays to shared memory first.
     shared_memory = False
 
-    def __init__(
-        self, max_workers: int, *, max_restarts: int = 3, degrade: bool = True
-    ) -> None:
+    def __init__(self, max_workers: int, *, max_restarts: int = 3) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = int(max_workers)
         self.max_restarts = int(max_restarts)
-        self.degrade_enabled = bool(degrade)
         self._slots: list[Channel] = []
         self._started = False
         self._start_lock = threading.Lock()
@@ -783,11 +781,10 @@ class JournaledTransport(Transport):
                 self._unwrap(channel, channel.request(("run", session, triples)))
 
     def _recover(self, lost: Channel) -> None:
-        """The recovery ladder for every slot ``lost`` served.
+        """The recovery ladder for every slot ``lost`` served; degrades
+        when the attempts run out.
 
         Runs with no channel lock held (so it may wait for a survivor's).
-        Raises a terminal :class:`TransportFailure` when the attempts run
-        out and degradation is disabled.
         """
         with self._recover_lock:
             slots = [slot for slot, channel in enumerate(self._slots) if channel is lost]
@@ -822,26 +819,11 @@ class JournaledTransport(Transport):
                 notes = solve_context().recovery
                 if notes is not None:
                     notes.restarts += 1
-                    notes.note(
-                        f"{lost.name} lost; slots {slots} moved to "
-                        f"{'fresh' if fresh else 'surviving'} {replacement.name}"
-                    )
                 return
-            self._exhausted(
-                f"{lost.name} is unrecoverable after {self.max_restarts} restart "
-                "attempts",
-                worker=slots[0],
-            )
+            self._exhausted()
 
-    def _exhausted(self, reason: str, worker: Optional[int] = None) -> None:
-        """Degrade (the recovery lock is held), or raise a terminal failure."""
-        if not self.degrade_enabled:
-            raise TransportFailure(
-                f"{reason} and degradation is disabled",
-                retryable=False,
-                worker=worker,
-                attempts=self.max_restarts,
-            )
+    def _exhausted(self) -> None:
+        """Degrade to in-process execution (the recovery lock is held)."""
         fallback = InProcessTransport()
         with self._journal_lock:
             for session, journal in self._journal.items():
@@ -853,7 +835,6 @@ class JournaledTransport(Transport):
         notes = solve_context().recovery
         if notes is not None:
             notes.degraded = True
-            notes.note(f"{self.name} transport unrecoverable: degraded to in-process")
 
     # ------------------------------------------------------------------ #
     # Requests
@@ -1003,11 +984,10 @@ class JournaledTransport(Transport):
             if not pending or self._fallback is not None:
                 break
             if redispatch >= max(1, self.max_restarts):
+                # The slots kept losing workers across every dispatch.
                 with self._recover_lock:
                     if self._fallback is None:
-                        self._exhausted(
-                            f"slots kept losing workers across {redispatch + 1} dispatches"
-                        )
+                        self._exhausted()
                 break
         results = {position: wirecodec.loads(body) for position, body in replies.items()}
         if pending:
@@ -1090,9 +1070,8 @@ class ProcessPoolTransport(JournaledTransport):
         shared_memory: bool = True,
         *,
         max_restarts: int = 3,
-        degrade: bool = True,
     ) -> None:
-        super().__init__(max_workers, max_restarts=max_restarts, degrade=degrade)
+        super().__init__(max_workers, max_restarts=max_restarts)
         self.start_method = start_method
         # Requested zero-copy shipping degrades silently to the pickle path
         # on platforms without working POSIX shared memory.

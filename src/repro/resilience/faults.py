@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Optional, Sequence
 
@@ -258,7 +258,3 @@ class RecoveryNotes:
 
     restarts: int = 0
     degraded: bool = False
-    events: list[str] = field(default_factory=list)
-
-    def note(self, message: str) -> None:
-        self.events.append(message)

@@ -44,7 +44,6 @@ from ..core.exceptions import (
     InvalidInstanceError,
     RegistryError,
     SessionError,
-    TransportFailure,
 )
 from .tenancy import (
     API_KEY_HEADER,
@@ -172,7 +171,6 @@ class ReproServer:
         self.ledger = UsageLedger(usage_log)
         self._pool = SessionPool(config=config, **overrides)
         self._services: dict[str, SolverService] = {}
-        self._replaced: dict[str, int] = {}
         self._tickets: dict[str, _TicketRecord] = {}
         self._active: dict[str, int] = {}
         self._next_id = 1
@@ -280,7 +278,6 @@ class ReproServer:
         """
         with self._lock:
             services = dict(self._services)
-            replaced = dict(self._replaced)
         models: dict[str, Any] = {}
         all_ready = True
         for name, svc in services.items():
@@ -301,7 +298,6 @@ class ReproServer:
                 "state": state,
                 "circuit": circuit,
                 "transport": transport,
-                "replacements": replaced.get(name, 0),
             }
             # Sessions on the TCP transport carry cluster membership: node
             # count and per-node liveness, promoted to its own block so
@@ -314,34 +310,6 @@ class ReproServer:
             "readiness": {"ready": all_ready, "models": models},
             "services": self.stats(),
         }
-
-    def _replace_service(self, model: str) -> None:
-        """Swap out one poisoned model service after a terminal transport loss.
-
-        Runs from a ticket's done-callback — i.e. on the dying service's own
-        worker thread — so the drain (``shutdown(wait=True)`` joins that very
-        thread) must happen on a background thread or it would deadlock.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            service = self._services.pop(model, None)
-            if service is None:
-                return
-            self._replaced[model] = self._replaced.get(model, 0) + 1
-
-        def _drain() -> None:
-            try:
-                service.shutdown(wait=True)
-            finally:
-                try:
-                    self._pool.replace(model)
-                except Exception:  # noqa: BLE001 - pool may be closing
-                    pass
-
-        threading.Thread(
-            target=_drain, name=f"repro-replace-{model}", daemon=True
-        ).start()
 
     def active_tickets(self, tenant: str) -> int:
         with self._lock:
@@ -440,12 +408,6 @@ class ReproServer:
             if isinstance(exc, BudgetExceededError):
                 iterations = exc.iterations
                 bits = exc.communication_bits
-            if isinstance(exc, TransportFailure) and not exc.retryable:
-                # The service's transport is beyond repair (restarts
-                # exhausted, degradation disabled): retire the whole
-                # service + session pair so the next request gets a fresh
-                # one instead of hitting the same poisoned pool.
-                self._replace_service(record.model)
         self.ledger.record(
             record.tenant,
             outcome=status,

@@ -2,13 +2,83 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro import SolverConfig
 from repro.core.clarkson import ClarksonModel
 from repro.core.engine import ViolationStats
+from repro.fabric import shm
+from repro.fabric.transport import _close_shared_transports
 from repro.workloads import random_feasible_lp, random_polytope_lp
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            return handle.read()
+    except OSError:
+        return ""
+
+
+def cmdline(pid: int) -> str:
+    """The command line of ``pid`` (empty once it is gone)."""
+    return _read(f"/proc/{pid}/cmdline").replace("\0", " ").strip()
+
+
+def live_descendants(root: int | None = None) -> list[int]:
+    """Live (non-zombie) descendants of ``root`` (default: this process)."""
+    root = os.getpid() if root is None else root
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        raw = _read(f"/proc/{entry}/stat") if entry.isdigit() else ""
+        if raw:
+            state, parent = raw[raw.rfind(")") + 2 :].split()[:2]
+            if state != "Z":
+                children.setdefault(int(parent), []).append(int(entry))
+    found, todo = [], [root]
+    while todo:
+        for child in children.get(todo.pop(), []):
+            found.append(child)
+            todo.append(child)
+    return sorted(found)
+
+
+def _leftovers() -> list[str]:
+    """Worker processes, node agents and segments this run still holds.
+
+    multiprocessing's resource tracker lives as long as this process by
+    design, so it is not a leftover.
+    """
+    commands = {pid: cmdline(pid) for pid in live_descendants()}
+    processes = [
+        f"pid {pid}: {command}"
+        for pid, command in commands.items()
+        if "resource_tracker" not in command
+    ]
+    mine = f"{shm.SEGMENT_PREFIX}{os.getpid()}_"
+    segments = [name for name in shm.leaked_segments() if name.startswith(mine)]
+    return processes + segments
+
+
+@pytest.fixture(scope="session", autouse=True)
+def leaves_nothing_behind():
+    """Fail the run if it leaves a worker, an agent or a segment behind.
+
+    The shared transports are closed first (interpreter exit would close
+    them too); exiting processes get up to 10 s.
+    """
+    yield
+    _close_shared_transports()
+    deadline = time.monotonic() + 10.0
+    while _leftovers() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    leftovers = _leftovers()
+    if leftovers:
+        pytest.fail("the test run left behind:\n" + "\n".join(leftovers))
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,7 @@ from repro.core.exceptions import CommunicationError
 from repro.fabric import wirecodec
 from repro.fabric.transport import InProcessTransport
 from repro.resilience import FaultPlan, FaultSpec
+from tests.conftest import cmdline, live_descendants
 
 SOLVE_KWARGS = dict(
     seed=11,
@@ -503,6 +504,23 @@ class TestTcpRecovery:
         finally:
             transport.close()
             reference.close()
+
+
+    def test_a_missed_registration_leaves_no_agent(self):
+        # A transport that never started is not shut down by close(), so
+        # the agents its failed start launched must be reaped by the start.
+        def agents():
+            return {pid for pid in live_descendants() if "repro node" in cmdline(pid)}
+
+        before = agents()
+        transport = TcpTransport(max_workers=2, registration_timeout_s=0.05)
+        with pytest.raises(TimeoutError, match="members after"):
+            transport.warm_up()
+        transport.close()
+        deadline = time.monotonic() + 5.0
+        while agents() - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert agents() - before == set()
 
 
 # ---------------------------------------------------------------------- #

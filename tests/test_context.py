@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.budget import CheckpointStore, ProgressTap
+from repro.core.budget import ProgressTap
 from repro.core.context import SolveContext, solve_context, solve_scope
 
 
@@ -16,12 +16,11 @@ def test_outside_a_solve_the_context_is_empty():
 
 def test_scope_replaces_fields_and_restores_on_exit():
     tap = ProgressTap(lambda event: None)
-    store = CheckpointStore()
     with solve_scope(tap=tap) as outer:
         assert solve_context() is outer
-        with solve_scope(checkpoints=store) as inner:
-            assert inner.tap is tap and inner.checkpoints is store
-        assert solve_context().checkpoints is None
+        with solve_scope(shm_pin="pin") as inner:
+            assert inner.tap is tap and inner.shm_pin == "pin"
+        assert solve_context().shm_pin is None
     assert solve_context() == SolveContext()
 
 

@@ -1,15 +1,15 @@
-"""The resilience layer: fault plans, retries, circuits, checkpoints, recovery.
+"""The resilience layer: fault plans, circuits, crash recovery.
 
 Unit coverage for :mod:`repro.resilience` plus the integration seams it
-plugs into — the supervised process transport's crash recovery (restart,
-degrade, terminal), the session's recovery accounting, the service's
-retry-with-checkpoint-resume loop, the server's deepened health and
-structured 503s, and the wire forms of the new typed errors.
+plugs into — the journaled transport's crash recovery (restart, degrade),
+the session's recovery accounting, a service ticket that rides out a
+worker loss, the service's circuit breaker, and the wire forms of the
+typed errors.
 
 The distributed recovery contract under test everywhere: a solve that hits
-an injected infrastructure fault either completes **bit-identical** to its
-fault-free baseline or raises a typed, documented error — never a hang,
-never a raw pool crash.
+an injected worker loss completes **bit-identical** to its fault-free
+baseline — the transport restarts the worker or degrades to in-process
+execution, and nothing above it retries.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from test_fabric_transports import (
     assert_bit_identical,
 )
 
-from repro import TransportConfig, solve
+from repro import TransportConfig
 from repro.api.config import SolverConfig
 from repro.api.service import SolverService
-from repro.api.session import Session, SessionPool
-from repro.core.budget import CheckpointStore
+from repro.api.session import Session
 from repro.core.context import solve_context, solve_scope
 from repro.core.exceptions import (
     CircuitOpenError,
-    CommunicationError,
     InvalidConfigError,
     TransportFailure,
 )
@@ -40,7 +38,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
 )
 from repro.server.wire import (
     error_body,
@@ -117,42 +114,6 @@ class TestFaultPlan:
         assert solve_context().fault_plan is None
         with solve_scope(fault_plan=None) as installed:
             assert installed.fault_plan is None
-
-
-# ---------------------------------------------------------------------- #
-# Retry policy
-# ---------------------------------------------------------------------- #
-
-
-class TestRetryPolicy:
-    def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(
-            max_attempts=5,
-            backoff_s=0.1,
-            backoff_factor=2.0,
-            max_backoff_s=0.5,
-            jitter=0.0,
-        )
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(3) == pytest.approx(0.5)  # capped
-        assert policy.delay(10) == pytest.approx(0.5)
-
-    def test_jitter_is_seeded(self):
-        from random import Random
-
-        policy = RetryPolicy(backoff_s=0.1, jitter=0.5)
-        a = [policy.delay(i, Random(3)) for i in range(4)]
-        b = [policy.delay(i, Random(3)) for i in range(4)]
-        assert a == b
-        assert all(d >= 0.1 * (2.0**i) * 0.999 for i, d in zip(range(2), a))
-
-    def test_validation(self):
-        with pytest.raises(InvalidConfigError):
-            RetryPolicy(max_attempts=-1)
-        with pytest.raises(InvalidConfigError):
-            RetryPolicy(backoff_s=-0.1)
 
 
 # ---------------------------------------------------------------------- #
@@ -243,39 +204,7 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------- #
-# Checkpoints
-# ---------------------------------------------------------------------- #
-
-
-class TestCheckpointStore:
-    def test_records_latest_at_interval(self):
-        store = CheckpointStore(interval=2)
-        store.record(1, [b"w1"])
-        assert store.latest() is None  # 1 % 2 != 0
-        store.record(2, [b"w1", b"w2"])
-        latest = store.latest()
-        assert latest is not None
-        assert latest.iteration == 2
-        assert latest.witnesses == (b"w1", b"w2")
-        assert store.snapshots == 1
-
-    def test_engine_snapshots_successful_iterations(self):
-        problem = _build_problem("lp")
-        store = CheckpointStore()
-        with solve_scope(checkpoints=store):
-            result = solve(problem, model="streaming", **SOLVE_KWARGS)
-        assert store.snapshots == result.successful_iterations
-        latest = store.latest()
-        assert latest is not None
-        assert len(latest.witnesses) == result.successful_iterations
-
-    def test_none_store_is_a_no_op(self):
-        with solve_scope(checkpoints=None) as installed:
-            assert installed.checkpoints is None
-
-
-# ---------------------------------------------------------------------- #
-# Supervised transport: crash, restart, degrade, terminal
+# Supervised transport: crash, restart, degrade
 # ---------------------------------------------------------------------- #
 
 SUPERVISED = TransportConfig(kind="process", max_workers=2, reuse_pool=False)
@@ -364,22 +293,6 @@ class TestSupervisedTransport:
         finally:
             session.close()
 
-    def test_terminal_failure_is_typed_not_a_hang(self):
-        problem = _build_problem("lp")
-        session = _supervised_session(max_restarts=0)
-        try:
-            transport = session._transport
-            transport.degrade_enabled = False
-            plan = FaultPlan([FaultSpec(kind="worker_crash", at=1)])
-            transport.attach_fault_plan(plan)
-            with pytest.raises(TransportFailure) as exc_info:
-                session.solve(problem)
-            assert exc_info.value.retryable is False
-            # Typed failures are still CommunicationErrors for old handlers.
-            assert isinstance(exc_info.value, CommunicationError)
-        finally:
-            session.close()
-
     def test_ping_heals_dead_workers(self):
         session = _supervised_session()
         try:
@@ -419,7 +332,7 @@ class TestSolveManyWorkerDeath:
 
 
 # ---------------------------------------------------------------------- #
-# Service: retry loop, checkpoint resume, circuit breaker
+# Service: worker loss, circuit breaker
 # ---------------------------------------------------------------------- #
 
 
@@ -432,55 +345,50 @@ class TestServiceResilience:
             **kwargs,
         )
 
-    def test_retry_resumes_from_checkpoint(self):
+    @pytest.mark.parametrize(
+        "kind, max_restarts",
+        [("process", 0), ("process", 1), ("tcp", 0), ("tcp", 1)],
+    )
+    def test_a_ticket_survives_worker_loss(self, kind, max_restarts):
+        # The journaled transport is the one recovery layer: a worker lost
+        # mid-ticket costs a restart or the degradation, never the ticket.
         problem = _build_problem("lp")
-        baseline = solve(problem, model="streaming", **SOLVE_KWARGS)
-        service = self._service(
-            retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0)
+        baseline = _solve(problem, "coordinator", None)
+        service = SolverService(
+            model="coordinator",
+            max_workers=1,
+            transport={
+                "kind": kind,
+                "max_workers": 2,
+                "reuse_pool": False,
+                "max_restarts": max_restarts,
+            },
+            **SOLVE_KWARGS,
+            **_model_overrides("coordinator"),
         )
-        calls = {"n": 0, "warm": []}
-        real = service.session.run_cold
-
-        def flaky(problem, config=None, budget=None, warm_witnesses=None):
-            calls["n"] += 1
-            calls["warm"].append(
-                None if warm_witnesses is None else len(warm_witnesses)
-            )
-            result = real(
-                problem, config, budget, warm_witnesses=warm_witnesses
-            )
-            if calls["n"] == 1:
-                # The solve finished but the transport died before the
-                # result was read back: retryable from the service's view.
-                raise TransportFailure("injected pipe loss", retryable=True)
-            return result
-
-        service.session.run_cold = flaky
         try:
-            ticket = service.submit(problem)
-            result = ticket.result(timeout=60)
-            assert calls["n"] == 2
-            assert calls["warm"][0] is None
-            assert calls["warm"][1] is not None and calls["warm"][1] > 0
-            # The resumed solve certifies the same answer (warm == cold).
-            assert result.value == baseline.value
-            assert result.basis_indices == baseline.basis_indices
-            assert result.resources.transport_retries == 1
-            assert result.resources.checkpoint_resumes == 1
+            plan = FaultPlan([FaultSpec(kind="worker_crash", at=1)])
+            service.session._transport.attach_fault_plan(plan)
+            result = service.submit(problem).result(timeout=120)
+            assert_bit_identical(result, baseline)
+            assert ("dispatch", 0, "worker_crash") in plan.fired
+            if max_restarts == 0:
+                assert result.metadata.get("transport_degraded") is True
+            else:
+                assert "transport_degraded" not in result.metadata
+                assert result.resources.transport_retries == 1
             stats = service.stats()
-            assert stats["transport_retries"] == 1
-            assert stats["checkpoint_resumes"] == 1
+            assert stats["failed"] == 0
             assert stats["circuit"]["state"] == "closed"
+            assert stats["circuit"]["recent_failures"] == 0
         finally:
             service.shutdown()
 
     def test_terminal_failure_propagates_and_counts(self):
         problem = _build_problem("lp")
-        service = self._service(
-            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0)
-        )
+        service = self._service()
 
-        def doomed(problem, config=None, budget=None, warm_witnesses=None):
+        def doomed(problem, config=None, budget=None):
             raise TransportFailure("pool is gone", retryable=False)
 
         service.session.run_cold = doomed
@@ -506,23 +414,6 @@ class TestServiceResilience:
             assert exc_info.value.retry_after_s > 0
         finally:
             service.shutdown()
-
-
-class TestSessionPoolReplace:
-    def test_replace_swaps_in_a_fresh_session(self):
-        pool = SessionPool(**SOLVE_KWARGS)
-        try:
-            first = pool.get("streaming")
-            replacement = pool.replace("streaming")
-            assert replacement is not first
-            assert pool.get("streaming") is replacement
-            assert pool.replacements() == {"streaming": 1}
-            # The poisoned session was closed; the replacement solves.
-            problem = _build_problem("lp")
-            result = replacement.solve(problem)
-            assert result.value is not None
-        finally:
-            pool.close()
 
 
 # ---------------------------------------------------------------------- #
