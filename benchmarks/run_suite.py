@@ -4,12 +4,12 @@ This is the arbiter for every perf-focused PR: a fixed grid of
 ``model x problem family x size tier`` scenarios, each driven through the
 ``repro.solve()`` front door with the practical profile and a pinned seed, so
 two runs of the same tier on the same machine measure the same work.  The
-output is ``BENCH.json`` (schema ``repro-bench/3``, documented in
+output is ``BENCH.json`` (schema ``repro-bench/6``, documented in
 ``docs/performance.md``): per-scenario wall time, iteration count, violation
-oracle calls, basis-cache hit rate, modelled peak bytes, plus the
-**communication currencies** of the fabric — rounds/passes, total measured
-bits, the largest single message, and the per-node load peak — and the
-geometric-mean wall time that headline comparisons quote.
+oracle calls, modelled peak bytes, plus the **communication currencies** of
+the fabric — rounds/passes, total measured bits, the largest single message,
+and the per-node load peak — and the geometric-mean wall time that headline
+comparisons quote.
 
 With ``--baseline`` the suite gates regressions in *both* families of
 currencies: wall time (``--max-regression``, default 2x) and communication
@@ -38,6 +38,11 @@ identical dispatch workload run through the cluster subsystem's
 sockets, length-prefixed wirecodec frames), with per-agent VmHWM/USS, and a
 ``tcp_overhead`` map (tcp wall / pickle-wire wall per worker count) that
 quantifies what crossing a real socket costs relative to a local pipe.
+
+Schema ``repro-bench/6`` drops the ``cache_hits``, ``cache_misses`` and
+``cache_hit_rate`` columns with the basis cache they counted (no measured
+solve ever hit it).  ``--baseline`` and ``--history`` read neither column,
+so they still read the older snapshots.
 
 Usage::
 
@@ -83,7 +88,7 @@ from repro.workloads import (
     uniform_ball_points,
 )
 
-SCHEMA = "repro-bench/5"
+SCHEMA = "repro-bench/6"
 
 #: Constraint counts per tier (shared by all four problem families).
 TIERS = {
@@ -223,9 +228,6 @@ class Scenario:
             walls.append(time.perf_counter() - start)
 
         res = result.resources
-        hits = getattr(res, "basis_cache_hits", 0)
-        misses = getattr(res, "basis_cache_misses", 0)
-        total = hits + misses
         communication = result.communication
         return {
             "id": self.scenario_id,
@@ -240,9 +242,6 @@ class Scenario:
             "wall_times_s": [round(w, 6) for w in walls],
             "iterations": result.iterations,
             "oracle_calls": int(getattr(res, "oracle_calls", 0)),
-            "cache_hits": int(hits),
-            "cache_misses": int(misses),
-            "cache_hit_rate": round(hits / total, 4) if total else None,
             "peak_bytes": int(_peak_bytes(result, problem)),
             "objective": _objective(result),
             # Communication currencies (schema repro-bench/2): rounds is the
@@ -858,7 +857,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{row['id']}: {row['wall_time_s']:.4f}s "
             f"[{row['kernel_backend']}], {row['iterations']} iterations, "
-            f"{row['oracle_calls']} oracle calls, cache hit rate {row['cache_hit_rate']}"
+            f"{row['oracle_calls']} oracle calls"
         )
 
     report = {

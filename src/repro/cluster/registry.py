@@ -87,7 +87,6 @@ class ClusterRegistry:
         heartbeat_timeout_s: float = 2.0,
         registration_timeout_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        on_death: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.monitor = HeartbeatMonitor(
@@ -95,7 +94,6 @@ class ClusterRegistry:
             registration_timeout_s=registration_timeout_s,
             clock=clock,
         )
-        self._on_death = on_death
         self._lock = threading.Lock()
         self._members: Dict[str, Member] = {}
         self._ids = itertools.count(1)
@@ -160,16 +158,21 @@ class ClusterRegistry:
         member_id = f"agent-{next(self._ids)}"
         member = Member(member_id, conn, info)
         self.monitor.register(member_id)
-        conn.send(
-            (
-                "welcome",
-                {
-                    "version": version,
-                    "agent_id": member_id,
-                    "heartbeat_interval_s": self.heartbeat_interval_s,
-                },
+        try:
+            conn.send(
+                (
+                    "welcome",
+                    {
+                        "version": version,
+                        "agent_id": member_id,
+                        "heartbeat_interval_s": self.heartbeat_interval_s,
+                    },
+                )
             )
-        )
+        except BaseException:
+            # No member joins, so the monitor must not keep one joining.
+            self.monitor.forget(member_id)
+            raise
         self.monitor.ready(member_id)
         member.reader = threading.Thread(
             target=self._reader_loop,
@@ -221,16 +224,11 @@ class ClusterRegistry:
                 member.replies.put(message)
 
     def _member_lost(self, member: Member, reason: str) -> None:
-        newly = self.monitor.mark_dead(member.member_id, reason)
+        self.monitor.mark_dead(member.member_id, reason)
         member.failed = True
         member.fail_reason = member.fail_reason or reason
         member.replies.put(_DEAD)
         member.conn.close()
-        if newly and self._on_death is not None:
-            try:
-                self._on_death(member.member_id, reason)
-            except Exception:  # pragma: no cover - observer must not kill reader
-                pass
 
     def _monitor_loop(self) -> None:
         interval = max(0.05, self.heartbeat_interval_s / 2.0)

@@ -1,6 +1,6 @@
 """Core machinery: LP-type problems, eps-nets, weights, and the meta-algorithm."""
 
-from .accounting import BitCostModel, CostMeter, RoundLedger
+from .accounting import BitCostModel, RoundLedger
 from .clarkson import ClarksonModel, resolve_sampling, run_clarkson, solve_small_problem
 from .engine import (
     ClarksonEngine,
@@ -36,7 +36,6 @@ from .weights import ExplicitWeights, boost_factor
 
 __all__ = [
     "BitCostModel",
-    "CostMeter",
     "RoundLedger",
     "ClarksonModel",
     "resolve_sampling",

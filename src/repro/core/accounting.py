@@ -69,48 +69,6 @@ class BitCostModel:
 
 
 @dataclass
-class CostMeter:
-    """A simple accumulating meter for one resource (bits, items, ...)."""
-
-    name: str
-    total: int = 0
-    peak: int = 0
-    _current: int = 0
-
-    def add(self, amount: int) -> None:
-        """Add ``amount`` to the running total (and current level)."""
-        if amount < 0:
-            raise ValueError(f"amount must be non-negative, got {amount}")
-        self.total += amount
-        self._current += amount
-        self.peak = max(self.peak, self._current)
-
-    def release(self, amount: int) -> None:
-        """Lower the *current* level by ``amount`` (total is unchanged).
-
-        Used for space accounting: memory that is freed lowers the current
-        footprint but the peak remains.
-        """
-        if amount < 0:
-            raise ValueError(f"amount must be non-negative, got {amount}")
-        self._current = max(0, self._current - amount)
-
-    def set_level(self, level: int) -> None:
-        """Set the current level directly, updating the peak."""
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
-        self._current = level
-        self.peak = max(self.peak, level)
-
-    @property
-    def current(self) -> int:
-        return self._current
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "total": self.total, "peak": self.peak}
-
-
-@dataclass
 class StreamingMemory:
     """Peak-memory tracker for a streaming algorithm.
 
@@ -118,21 +76,13 @@ class StreamingMemory:
     the peak footprint, which is the quantity Theorem 1 bounds.
     """
 
-    items: CostMeter = field(default_factory=lambda: CostMeter("items"))
-    bits: CostMeter = field(default_factory=lambda: CostMeter("bits"))
+    peak_items: int = 0
+    peak_bits: int = 0
 
     def set_usage(self, items: int, bits: int) -> None:
         """Report the current memory footprint."""
-        self.items.set_level(items)
-        self.bits.set_level(bits)
-
-    @property
-    def peak_items(self) -> int:
-        return self.items.peak
-
-    @property
-    def peak_bits(self) -> int:
-        return self.bits.peak
+        self.peak_items = max(self.peak_items, items)
+        self.peak_bits = max(self.peak_bits, bits)
 
 
 @dataclass

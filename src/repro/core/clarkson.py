@@ -315,8 +315,6 @@ def run_clarkson(
         resources.space_peak_items = n
     else:
         resources.oracle_calls = run.oracle_calls
-        resources.basis_cache_hits = outcome.cache_hits
-        resources.basis_cache_misses = outcome.cache_misses
     values = {
         "algorithm": run.direct_algorithm if direct else run.algorithm,
         "r": config.r,

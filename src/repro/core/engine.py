@@ -33,7 +33,6 @@ is running in.
 from __future__ import annotations
 
 import abc
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -51,7 +50,6 @@ __all__ = [
     "ViolationStats",
     "SamplingStrategy",
     "WeightSubstrate",
-    "BasisCache",
     "EngineConfig",
     "EngineOutcome",
     "ClarksonEngine",
@@ -74,79 +72,6 @@ def iteration_budget(problem: LPTypeProblem, r: int, max_iterations: Optional[in
             f"max_iterations must be >= 1 or None (got {max_iterations!r})"
         )
     return int(max_iterations)
-
-
-class BasisCache:
-    """Memo of ``solve_subset`` results keyed by the sorted index tuple.
-
-    Clarkson re-solves heavily overlapping index sets: the terminal
-    iterations of a run tend to rediscover the optimal basis, repeated runs
-    re-solve the same samples, and every solved sample also certifies its own
-    basis (``f(B) = f(A)`` for a basis ``B`` of ``A``), which is entered as a
-    second key.  The cache is owned by one :class:`ClarksonEngine` — never
-    shared across runs — so cached entries can only be observed by the run
-    that computed them and repeated solves stay bit-identical.
-
-    Index tuples are digested to 128-bit BLAKE2 fingerprints before storage,
-    so an entry costs the fingerprint plus the (small) :class:`BasisResult`
-    — the eps-net sample tuples themselves are never retained.  Like the
-    streaming driver's chunk buffers, the cache is *simulator-side* scratch:
-    it memoises the host's basis computations and is deliberately excluded
-    from the modelled space/load accounting of the paper's theorems (see
-    ``EXPERIMENTS.md`` on simulator scratch vs. modelled footprint).
-
-    Eviction is insertion-ordered (FIFO) with a small fixed capacity; hits
-    and misses are surfaced through
-    :class:`~repro.core.result.ResourceUsage.basis_cache_hits` / ``_misses``.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[bytes, BasisResult] = {}
-
-    @staticmethod
-    def _digest(key) -> bytes:
-        """Digest a sorted index collection (tuple or int ndarray)."""
-        payload = np.asarray(key, dtype=np.int64).tobytes()
-        return hashlib.blake2b(payload, digest_size=16).digest()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key) -> BasisResult | None:
-        entry = self._entries.get(self._digest(key))
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(self, key, basis: BasisResult) -> None:
-        digest = self._digest(key)
-        if digest not in self._entries and len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[digest] = basis
-
-    def record(self, key, basis: BasisResult) -> None:
-        """Store a solved sample and seed the entry for its own basis."""
-        self.put(key, basis)
-        basis_key = tuple(sorted(int(i) for i in basis.indices))
-        if basis_key and (
-            len(basis_key) != len(key) or self._digest(basis_key) != self._digest(key)
-        ):
-            self.put(
-                basis_key,
-                BasisResult(
-                    indices=basis.indices,
-                    value=basis.value,
-                    witness=basis.witness,
-                    subset_size=len(basis.indices),
-                ),
-            )
 
 
 @dataclass(frozen=True)
@@ -220,6 +145,9 @@ class EngineOutcome:
     iterations: int
     successful_iterations: int
     trace: list[IterationRecord] = field(default_factory=list)
+    #: Always 0: the engine solves every sample afresh.  The two counters
+    #: stay only because ``perfbench/tracing.py`` reads them for its
+    #: ``engine.cache_hit_ratio`` metric; they go with that metric.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Witnesses of the bases of successful iterations, in order.  This is
@@ -242,21 +170,6 @@ class ClarksonEngine:
         self.model = model
         self.problem = model.problem
         self.config = config
-        # The basis-solve cache is strictly per-engine (= per-run) state:
-        # sharing it across runs would leak one run's numerics into another.
-        self.basis_cache = BasisCache()
-
-    def _solve_sample(self, sample: np.ndarray) -> BasisResult:
-        """Solve the sampled subset, going through the basis cache."""
-        cache = self.basis_cache
-        # The digest works on the raw int64 array — building a Python tuple
-        # of a 10^4-element sample costs more than the subset solve's setup.
-        key = np.sort(np.asarray(sample, dtype=np.int64))
-        basis = cache.get(key)
-        if basis is None:
-            basis = self.problem.solve_subset(sample)
-            cache.record(key, basis)
-        return basis
 
     def run(self) -> EngineOutcome:
         config = self.config
@@ -278,7 +191,7 @@ class ClarksonEngine:
             if meter is not None:
                 meter.charge_iteration()
             sample = model.draw(config.sample_size)
-            basis = self._solve_sample(sample)
+            basis = self.problem.solve_subset(sample)
             stats = model.measure(sample, basis)
             success = stats.weight_fraction <= config.epsilon
             if tap is not None:
@@ -322,7 +235,5 @@ class ClarksonEngine:
             iterations=iterations,
             successful_iterations=successful,
             trace=trace,
-            cache_hits=self.basis_cache.hits,
-            cache_misses=self.basis_cache.misses,
             successful_witnesses=successful_witnesses,
         )

@@ -71,8 +71,6 @@ class ResourceUsage:
     max_machine_load_bits: int = 0
     machine_count: int = 0
     oracle_calls: int = 0
-    basis_cache_hits: int = 0
-    basis_cache_misses: int = 0
     transport_retries: int = 0
     per_round: list[Mapping[str, int]] = field(default_factory=list)
 
@@ -85,8 +83,6 @@ class ResourceUsage:
         "total_communication_bits",
         "machine_count",
         "oracle_calls",
-        "basis_cache_hits",
-        "basis_cache_misses",
         "transport_retries",
     )
     #: Per-message / per-machine maxima: summing them is meaningless, so they
@@ -448,7 +444,5 @@ class SolveResult:
             "communication_bits": self.resources.total_communication_bits,
             "max_machine_load_bits": self.resources.max_machine_load_bits,
             "oracle_calls": self.resources.oracle_calls,
-            "basis_cache_hits": self.resources.basis_cache_hits,
-            "basis_cache_misses": self.resources.basis_cache_misses,
             **{f"meta_{k}": v for k, v in self.metadata.items()},
         }

@@ -219,20 +219,20 @@ class _Attachment:
             self._views[slot] = cached
         return cached
 
-    def close(self) -> bool:
-        """Drop the mapping; ``False`` when live views still pin the buffer."""
+    def close(self) -> None:
+        """Drop the mapping, unless live views outside the state dict still
+        pin the buffer: it is then freed when they are collected (the name
+        itself is the creator's to unlink, so nothing leaks)."""
         self._views.clear()
         try:
             self.segment.close()
         except BufferError:
-            return False
-        return True
+            pass
 
 
 #: Segments this process has *attached* (worker side, or the parent's
 #: degraded fallback), keyed by name.  Refcounts are per kept value.
 _ATTACHMENTS: dict[str, _Attachment] = {}
-_DEFERRED_CLOSES: set[str] = set()
 _ATTACH_LOCK = threading.Lock()
 _TRACK_TARGETS: list[set[str]] = []
 
@@ -283,11 +283,7 @@ def release_attachments(names: set[str]) -> None:
             attachment.refs -= 1
             if attachment.refs <= 0:
                 del _ATTACHMENTS[name]
-                if not attachment.close():
-                    # Live views outside the state dict still pin the buffer;
-                    # the mapping is freed when they are collected (the name
-                    # itself is the creator's to unlink, so nothing leaks).
-                    _DEFERRED_CLOSES.add(name)
+                attachment.close()
 
 
 class ShippedObject:
@@ -440,6 +436,5 @@ def _sweep() -> None:  # pragma: no cover - interpreter shutdown
     with _ATTACH_LOCK:
         attachments = list(_ATTACHMENTS.values())
         _ATTACHMENTS.clear()
-        _DEFERRED_CLOSES.clear()
     for attachment in attachments:
         attachment.close()

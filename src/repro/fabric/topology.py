@@ -104,7 +104,7 @@ class Topology:
     ) -> list[Any]:
         """Run ``fn(state, *args) -> (state, result)`` on the listed nodes."""
         ids = list(range(self.num_nodes)) if node_ids is None else list(node_ids)
-        plan = getattr(self.transport, "_fault_plan", None) or solve_context().fault_plan
+        plan = self.transport._active_plan()
         if plan is not None:
             # Chaos probe: a matching ``slow_node`` spec stalls this node's
             # dispatch — pure latency, never divergence, so faulted solves

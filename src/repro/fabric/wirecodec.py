@@ -15,9 +15,12 @@ byte-for-byte the encoded one.  NumPy scalar *types* are preserved for the
 dominant ``float64``/``int64`` cases (a task that returns ``np.float64``
 must not observe a plain ``float`` after the wire).
 
-``dumps`` prefixes a magic marker; ``loads`` falls back to ``pickle.loads``
-for unmarked data, so journaled frames from either encoding replay through
-one entry point.
+``dumps`` prefixes a magic marker, and ``loads`` refuses data without it
+with ``ValueError``: every producer (journaled inits and task arguments,
+worker replies, cluster frames) writes ``dumps`` frames, so unmarked bytes
+come from a foreign or corrupt peer.  A frame may still embed pickles under
+its explicit fallback tag, so ``loads`` must only read frames from a
+trusted peer.
 
 Stream framing
 --------------
@@ -53,9 +56,9 @@ __all__ = [
     "MAX_FRAME_BYTES",
 ]
 
-#: Frame marker: anything not starting with this is treated as a pickle.
+#: Frame marker: :func:`loads` refuses anything not starting with this.
 #: (``\x93`` is not a printable ASCII byte and differs from pickle's
-#: ``PROTO`` opcode ``\x80``, so the dispatch is unambiguous.)
+#: ``PROTO`` opcode ``\x80``, so a raw pickle is never taken for a frame.)
 MAGIC = b"\x93RW1"
 
 _T_NONE = b"N"
@@ -279,17 +282,19 @@ def dumps(obj: Any) -> bytes:
 
 
 def loads(data: bytes) -> Any:
-    """Decode a :func:`dumps` frame; plain pickles pass through unchanged.
+    """Decode a :func:`dumps` frame.
 
-    Truncated or short-delivered frames raise :class:`TruncatedFrameError`
-    (never a silently-short string/array): socket streams deliver fragments,
-    and a reader that handed a partial buffer to ``loads`` must hear about
-    it explicitly.
+    Data without the :data:`MAGIC` marker raises ``ValueError``: every
+    producer writes :func:`dumps` frames, so unmarked bytes are a foreign or
+    corrupt peer, never a pickle to run.  Truncated or short-delivered
+    frames raise :class:`TruncatedFrameError` (never a silently-short
+    string/array): socket streams deliver fragments, and a reader that
+    handed a partial buffer to ``loads`` must hear about it explicitly.
     """
-    if data[: len(MAGIC)] == MAGIC:
-        obj, _end = _decode(data, len(MAGIC))
-        return obj
-    return pickle.loads(data)
+    if data[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"not a wirecodec frame: missing the {MAGIC!r} marker")
+    obj, _end = _decode(data, len(MAGIC))
+    return obj
 
 
 # --------------------------------------------------------------------- #

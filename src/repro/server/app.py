@@ -36,7 +36,6 @@ from ..api.registry import available_models, describe_model, get_model
 from ..api.service import SolverService, Ticket
 from ..api.session import SessionPool
 from ..core.accounting import UsageLedger
-from ..core.budget import ResourceBudget
 from ..core.exceptions import (
     BudgetExceededError,
     CircuitOpenError,

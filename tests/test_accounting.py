@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.accounting import BitCostModel, CostMeter, RoundLedger, StreamingMemory
+from repro.core.accounting import BitCostModel, RoundLedger, StreamingMemory
 
 
 class TestBitCostModel:
@@ -36,50 +36,6 @@ class TestBitCostModel:
         model = BitCostModel()
         assert model.coefficients(0) == 0
         assert model.counters(0) == 0
-
-
-class TestCostMeter:
-    def test_add_accumulates_total(self):
-        meter = CostMeter("bits")
-        meter.add(10)
-        meter.add(5)
-        assert meter.total == 15
-
-    def test_peak_tracks_maximum_level(self):
-        meter = CostMeter("items")
-        meter.add(10)
-        meter.release(4)
-        meter.add(2)
-        assert meter.peak == 10
-        assert meter.current == 8
-
-    def test_set_level_updates_peak(self):
-        meter = CostMeter("items")
-        meter.set_level(7)
-        meter.set_level(3)
-        assert meter.peak == 7
-        assert meter.current == 3
-
-    def test_release_never_goes_negative(self):
-        meter = CostMeter("items")
-        meter.add(2)
-        meter.release(10)
-        assert meter.current == 0
-
-    def test_negative_amount_rejected(self):
-        meter = CostMeter("x")
-        with pytest.raises(ValueError):
-            meter.add(-1)
-        with pytest.raises(ValueError):
-            meter.release(-1)
-        with pytest.raises(ValueError):
-            meter.set_level(-1)
-
-    def test_snapshot_contents(self):
-        meter = CostMeter("bits")
-        meter.add(42)
-        snap = meter.snapshot()
-        assert snap == {"name": "bits", "total": 42, "peak": 42}
 
 
 class TestStreamingMemory:

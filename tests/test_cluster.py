@@ -361,6 +361,65 @@ class TestRegistryHandshake:
         finally:
             registry.drain()
 
+    def test_unmarked_first_frame_closes_the_socket(self):
+        import socket as socket_mod
+
+        registry = ClusterRegistry(("127.0.0.1", 0), heartbeat_interval_s=0.1)
+        try:
+            with socket_mod.create_connection(registry.address) as sock:
+                sock.sendall(wirecodec.frame(b"unmarked payload"))
+                sock.settimeout(5.0)
+                # The handshake refuses the frame and closes the socket.
+                assert sock.recv(1) == b""
+            assert registry.health()["members"] == 0
+        finally:
+            registry.drain()
+
+    def test_unmarked_frame_after_handshake_drops_the_member(self):
+        import socket as socket_mod
+
+        # Heartbeat expiry (2 x 30 s) cannot explain a drop inside the test.
+        registry = ClusterRegistry(
+            ("127.0.0.1", 0), heartbeat_interval_s=0.1, heartbeat_timeout_s=30.0
+        )
+        try:
+            with socket_mod.create_connection(registry.address) as sock:
+                conn = _frame_conn(sock)
+                conn.send(hello_message("probe", os.getpid()))
+                kind, body = conn.recv(timeout=5.0)
+                assert kind == "welcome"
+                assert registry.wait_for(1, timeout=5.0) == [body["agent_id"]]
+                sock.sendall(wirecodec.frame(b"unmarked payload"))
+                deadline = time.monotonic() + 5.0
+                while registry.alive_members() and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert registry.alive_members() == []
+                state = registry.health()["liveness"][body["agent_id"]]
+                assert state["state"] == "dead"
+                conn.close()
+        finally:
+            registry.drain()
+
+    def test_failed_welcome_leaves_no_monitor_entry(self):
+        class _WelcomeFails:
+            def recv(self, timeout=None):
+                return hello_message("probe", os.getpid())
+
+            def send(self, message):
+                raise OSError("peer went away")
+
+            def close(self):
+                pass
+
+        registry = ClusterRegistry(("127.0.0.1", 0), heartbeat_interval_s=0.1)
+        try:
+            with pytest.raises(OSError):
+                registry._handshake(_WelcomeFails())
+            assert registry.monitor.snapshot() == {}
+            assert registry.health()["members"] == 0
+        finally:
+            registry.drain()
+
 
 # ---------------------------------------------------------------------- #
 # TcpTransport primitives (one shared loopback cluster for the class)

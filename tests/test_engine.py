@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+import repro
 from repro import SolverConfig, solve
 from repro.core.clarkson import SequentialModel
 from repro.core.engine import ClarksonEngine, EngineConfig, iteration_budget
 from repro.core.exceptions import InvalidConfigError, IterationLimitError
-from repro.workloads import random_polytope_lp
+from repro.problems.meb import MinimumEnclosingBall
+from repro.workloads import random_polytope_lp, uniform_ball_points
 
 from tests.conftest import ScriptedModel, assert_objective_close
 
@@ -146,3 +148,40 @@ def test_oracle_calls_per_model(model, overrides, seed):
         n, result.metadata.get("k"), result.iterations, result.successful_iterations
     )
     assert result.resources.oracle_calls == expected
+
+
+@pytest.mark.parametrize("family", ["lp", "meb"])
+@pytest.mark.parametrize(
+    "model, overrides",
+    [
+        ("sequential", {}),
+        ("streaming", {}),
+        ("coordinator", {"num_sites": 3}),
+        ("mpc", {"delta": 0.5}),
+    ],
+)
+def test_one_subset_solve_per_iteration(model, overrides, family, monkeypatch):
+    """Each iteration solves its own fresh sample once, cold and warm: no
+    two iterations share a subset solve."""
+    if family == "lp":
+        problem = random_polytope_lp(3000, 2, seed=5).problem
+    else:
+        problem = MinimumEnclosingBall(uniform_ball_points(3000, 2, seed=6))
+    calls = []
+    solve_subset = type(problem).solve_subset
+
+    def counted(self, indices):
+        calls.append(len(indices))
+        return solve_subset(self, indices)
+
+    monkeypatch.setattr(type(problem), "solve_subset", counted)
+    config = SolverConfig.practical(problem, r=3, seed=3)
+    with repro.session(model=model, config=config, **overrides) as sess:
+        cold = sess.solve(problem)
+        assert cold.iterations >= 2  # an engine run, not a direct solve
+        assert len(calls) == cold.iterations
+        calls.clear()
+        # Dropping a basis constraint moves the optimum: the warm engine runs.
+        warm = sess.resolve_with(removed=[cold.basis_indices[0]])
+        assert warm.warm.warm_start and warm.resources.oracle_calls > 0
+        assert len(calls) == warm.iterations

@@ -207,8 +207,6 @@ class TestCircuitBreaker:
 # Supervised transport: crash, restart, degrade
 # ---------------------------------------------------------------------- #
 
-SUPERVISED = TransportConfig(kind="process", max_workers=2, reuse_pool=False)
-
 
 def _supervised_session(model: str = "coordinator", **transport_overrides):
     cfg = {

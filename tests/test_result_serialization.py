@@ -115,6 +115,36 @@ def test_from_dict_tolerates_unknown_resource_fields():
     assert np.array_equal(restored.witness, result.witness)
 
 
+def test_resources_block_carries_exactly_the_usage_fields():
+    problem = random_polytope_lp(800, 2, seed=65).problem
+    payload = solve(problem, model="coordinator", num_sites=3, **FAST).to_dict()
+    assert set(payload["resources"]) == {
+        "passes",
+        "space_peak_items",
+        "space_peak_bits",
+        "rounds",
+        "total_communication_bits",
+        "max_message_bits",
+        "max_machine_load_bits",
+        "machine_count",
+        "oracle_calls",
+        "transport_retries",
+        "per_round",
+    }
+
+
+def test_payload_with_basis_cache_counters_still_decodes():
+    # Results written before the basis cache went carry its two counters.
+    problem = random_polytope_lp(800, 2, seed=65).problem
+    result = solve(problem, model="sequential", **FAST)
+    payload = json.loads(json.dumps(result.to_dict()))
+    payload["resources"].update(basis_cache_hits=0, basis_cache_misses=3)
+    restored = SolveResult.from_dict(payload)
+    assert restored.resources == result.resources
+    assert restored.value == result.value
+    assert restored.basis_indices == result.basis_indices
+
+
 def test_encoder_refuses_untrusted_dataclasses():
     from dataclasses import dataclass
 

@@ -272,11 +272,11 @@ class TestWireCodec:
         assert isinstance(back, Scalar)
 
     def test_raw_pickles_pass_through_loads(self):
-        # Journal replay decodes every historical frame through one entry
-        # point: unmarked bytes must fall back to pickle.loads.
+        # Raw pickles no longer pass through: every producer writes marked
+        # frames, so unmarked bytes are refused before anything unpickles.
         obj = {"rng": np.random.default_rng(5)}
-        back = wirecodec.loads(pickle.dumps(obj))
-        assert isinstance(back["rng"], np.random.Generator)
+        with pytest.raises(ValueError, match="marker"):
+            wirecodec.loads(pickle.dumps(obj))
 
     def test_arbitrary_objects_fall_back_to_pickle(self):
         rng = np.random.default_rng(1)
