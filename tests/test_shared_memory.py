@@ -272,8 +272,8 @@ class TestWireCodec:
         assert isinstance(back, Scalar)
 
     def test_raw_pickles_pass_through_loads(self):
-        # Raw pickles no longer pass through: every producer writes marked
-        # frames, so unmarked bytes are refused before anything unpickles.
+        # Every producer writes marked frames, so unmarked bytes (here a raw
+        # pickle) are refused before anything unpickles them.
         obj = {"rng": np.random.default_rng(5)}
         with pytest.raises(ValueError, match="marker"):
             wirecodec.loads(pickle.dumps(obj))
