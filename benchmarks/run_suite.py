@@ -27,15 +27,17 @@ Schema ``repro-bench/4`` adds the ``transport_bench`` block
 (``--transport-bench``): for each worker count, the process transport's
 *dispatch* cost — shipping the problem to every worker, installing node
 states, and running task rounds — is timed with shared memory off (the
-pickle wire) and on (zero-copy segments + the pickle-free frame codec),
-alongside each worker's peak RSS (``VmHWM``) and private footprint (USS,
-the honest zero-copy metric: shared pages don't count).
+problem in one plain pickle, the pickle wire) and on (its arrays in
+zero-copy segments); task args, states and results travel as marked
+pickle frames in both cells.  Each cell records its workers' peak RSS
+(``VmHWM``) and private footprint (USS, the honest zero-copy metric:
+shared pages don't count).
 ``--min-transport-speedup`` gates the shm-over-pickle dispatch ratio in CI.
 
 Schema ``repro-bench/5`` adds ``wire="tcp"`` cells to the same block: the
 identical dispatch workload run through the cluster subsystem's
 :class:`~repro.cluster.transport.TcpTransport` (loopback node agents, real
-sockets, length-prefixed wirecodec frames), with per-agent VmHWM/USS, and a
+sockets, length-prefixed marked pickle frames), with per-agent VmHWM/USS, and a
 ``tcp_overhead`` map (tcp wall / pickle-wire wall per worker count) that
 quantifies what crossing a real socket costs relative to a local pipe.
 

@@ -91,12 +91,12 @@ class TransportConfig:
     shared_memory:
         With ``kind="process"``, ship the problem's large constraint arrays
         through POSIX shared-memory segments (zero-copy: every worker maps
-        the same pages) and use the pickle-free frame codec for task
-        args/results.  Default on; silently degrades to the plain pickle
-        wire on platforms without working shared memory.  Results are
-        bit-identical either way — ``False`` forces the pickle path (the
-        cross-transport determinism grid exercises both).  Ignored by
-        ``kind="tcp"``: a shared-memory handle references pages a remote
+        the same pages).  Default on; silently degrades to a plain pickle of
+        the shared value on platforms without working shared memory.  Task
+        args, states and results travel as marked pickle frames either way.
+        Results are bit-identical either way — ``False`` forces the pickle
+        path (the cross-transport determinism grid exercises both).  Ignored
+        by ``kind="tcp"``: a shared-memory handle references pages a remote
         host cannot map, so the TCP wire always ships plain pickles.
     listen:
         With ``kind="tcp"``, the ``"host:port"`` the coordinator's
@@ -183,7 +183,7 @@ class TransportConfig:
             "heartbeat_timeout_s",
             "registration_timeout_s",
         ):
-            if getattr(self, field_name) <= 0:
+            if not getattr(self, field_name) > 0:
                 raise InvalidConfigError(
                     f"TransportConfig.{field_name} must be > 0 "
                     f"(got {getattr(self, field_name)!r})"

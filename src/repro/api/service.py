@@ -269,7 +269,7 @@ class SolverService:
         the worker thread, so it must be cheap and thread-safe.  Config
         ``overrides`` apply to this request only.
         """
-        if deadline_s is not None and deadline_s <= 0:
+        if deadline_s is not None and not deadline_s > 0:
             raise SessionError(f"deadline_s must be > 0 (got {deadline_s!r})")
         # Shed load *before* building config or touching the queue: an open
         # breaker means the session's infrastructure is broken and queueing

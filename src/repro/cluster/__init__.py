@@ -3,8 +3,8 @@
 Four modules turn the fabric's in-process/`multiprocessing` node abstraction
 into a network-real one:
 
-* :mod:`repro.cluster.protocol` — length-prefixed
-  :mod:`~repro.fabric.wirecodec` frames over TCP sockets, plus the
+* :mod:`repro.cluster.protocol` — length-prefixed, marked pickle frames
+  (:mod:`~repro.fabric.wirecodec`) over TCP sockets, plus the
   registration handshake (protocol/version negotiation);
 * :mod:`repro.cluster.agent` — the node agent process
   (``python -m repro node --connect host:port``): registers with a

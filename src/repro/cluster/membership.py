@@ -62,9 +62,9 @@ class HeartbeatMonitor:
         registration_timeout_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if heartbeat_timeout_s <= 0:
+        if not heartbeat_timeout_s > 0:
             raise ValueError("heartbeat_timeout_s must be positive")
-        if registration_timeout_s <= 0:
+        if not registration_timeout_s > 0:
             raise ValueError("registration_timeout_s must be positive")
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.registration_timeout_s = float(registration_timeout_s)

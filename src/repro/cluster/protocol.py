@@ -2,8 +2,8 @@
 
 Every cluster message is one length-prefixed frame
 (:func:`repro.fabric.wirecodec.frame`: 4-byte big-endian length + a
-``wirecodec`` payload), so the codec vocabulary — and its bit-exact array
-transcription — is shared verbatim with the process transports' pipe wire.
+marked pickle from :func:`repro.fabric.wirecodec.dumps`), the same frame
+body the process transports write on their pipes.
 Messages are tuples whose first element is the verb:
 
 ==================  =============================================  =========
@@ -108,7 +108,7 @@ def negotiate_version(offered: Any) -> int:
 
 
 class FrameConnection:
-    """One socket speaking length-prefixed :mod:`wirecodec` frames.
+    """One socket speaking length-prefixed, marked :mod:`wirecodec` frames.
 
     ``send`` is internally locked — the agent's heartbeat thread and its
     reply path (and nothing else) interleave writes on one socket, and a

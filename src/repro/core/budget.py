@@ -64,7 +64,7 @@ class ResourceBudget:
     communication_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.wall_time_s is not None and self.wall_time_s <= 0:
+        if self.wall_time_s is not None and not self.wall_time_s > 0:
             raise InvalidConfigError(
                 f"ResourceBudget.wall_time_s must be > 0 (got {self.wall_time_s!r})"
             )

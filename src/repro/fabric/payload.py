@@ -68,13 +68,9 @@ def _write_text(parts: list[bytes], text: str) -> None:
 
 
 class _WireReader:
-    """Sequential reader over the canonical wire format.
+    """Sequential reader over the canonical wire format."""
 
-    Accepts ``bytes`` or a ``memoryview`` — the process transports' frame
-    codec hands in zero-copy views of larger wire frames.
-    """
-
-    def __init__(self, data: "bytes | memoryview") -> None:
+    def __init__(self, data: bytes) -> None:
         self.data = data
         self.offset = 0
 
@@ -109,6 +105,11 @@ class Payload:
     def _fields(self) -> list[tuple[bytes, Any]]:
         """Ordered ``(code, value)`` wire fields of this payload."""
         raise NotImplementedError
+
+    def __reduce__(self):
+        # A payload crosses a process boundary in its canonical wire form, so
+        # the receiver holds exactly the fields the ledger measured.
+        return decode_payload, (self.to_bytes(),)
 
     def to_bytes(self) -> bytes:
         """Serialize into the canonical wire format."""
@@ -324,8 +325,8 @@ _KIND_BYTES: Mapping[type, bytes] = {
 }
 
 
-def decode_payload(data: "bytes | memoryview") -> Payload:
-    """Reconstruct a payload from its canonical wire bytes (or a view)."""
+def decode_payload(data: bytes) -> Payload:
+    """Reconstruct a payload from its canonical wire bytes."""
     kind = data[0]
     if kind >= len(_PAYLOAD_TYPES):
         raise ValueError(f"unknown payload kind byte {kind}")

@@ -16,12 +16,12 @@ work by handing the transport a **top-level function** ``fn(state, *args) ->
 The last two are configurations of one :class:`JournaledTransport`: nodes
 are pinned to ``max_workers`` slots by ``node_id % max_workers``, every slot
 is served by a worker running :func:`worker_loop` over its channel, task
-functions travel pickled by reference, args and results through their
-canonical wire bytes, shared values are kept on the workers for as long as
-an owner holds them (so an API session ships its problem once, not once per
-solve; the same table of owners decides when a value's shared-memory
-segment is unlinked), and a journal lets a lost worker be replaced without
-changing a bit.
+functions travel pickled by reference, args, states and results as marked
+pickle frames (payloads in their canonical wire form), shared values are
+kept on the workers for as long as an owner holds them (so an API session
+ships its problem once, not once per solve; the same table of owners
+decides when a value's shared-memory segment is unlinked), and a journal
+lets a lost worker be replaced without changing a bit.
 
 All run the *same* task functions on the *same* per-node states (RNG
 generators ship inside the state, so random streams advance identically),
@@ -268,8 +268,8 @@ def worker_loop(conn) -> None:  # pragma: no cover - runs in a worker process
     re-attaches the parent's segment, so the worker maps the same physical
     pages; the mapping lives as long as the kept value that attached it —
     a long-lived worker must not accumulate maps of unlinked segments.
-    Task functions are cached per pickle (they recur every round); args and
-    results travel through the pickle-free frame codec.
+    Task functions are cached per pickle (they recur every round); states,
+    args and results travel as marked :mod:`~repro.fabric.wirecodec` frames.
     """
     states: dict[tuple[str, int], Any] = {}
     shared: dict[tuple[str, str], Any] = {}

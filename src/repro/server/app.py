@@ -341,7 +341,7 @@ class ReproServer:
                     f"deadline_s must be a number, got {deadline_s!r}",
                     field="deadline_s",
                 ) from None
-            if deadline_s <= 0:
+            if not deadline_s > 0:
                 raise RequestValidationError(
                     f"deadline_s must be > 0 (got {deadline_s!r})",
                     field="deadline_s",

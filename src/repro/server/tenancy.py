@@ -82,7 +82,7 @@ class TenantQuota:
             raise InvalidConfigError(
                 f"TenantQuota.max_concurrent must be >= 1 (got {self.max_concurrent!r})"
             )
-        if self.wall_time_s is not None and self.wall_time_s <= 0:
+        if self.wall_time_s is not None and not self.wall_time_s > 0:
             raise InvalidConfigError(
                 f"TenantQuota.wall_time_s must be > 0 (got {self.wall_time_s!r})"
             )

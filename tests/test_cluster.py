@@ -268,6 +268,12 @@ class TestHeartbeatMonitor:
         with pytest.raises(ValueError):
             HeartbeatMonitor(registration_timeout_s=-1.0)
 
+    def test_nan_timeouts_rejected(self):
+        with pytest.raises(ValueError, match="heartbeat_timeout_s"):
+            HeartbeatMonitor(heartbeat_timeout_s=float("nan"))
+        with pytest.raises(ValueError, match="registration_timeout_s"):
+            HeartbeatMonitor(registration_timeout_s=float("nan"))
+
 
 # ---------------------------------------------------------------------- #
 # Handshake protocol

@@ -185,6 +185,16 @@ class TestTransportConfigValidation:
         with pytest.raises(InvalidConfigError, match="max_workers"):
             TransportConfig(kind="process", max_workers=0)
 
+    @pytest.mark.parametrize(
+        "field_name",
+        ["heartbeat_interval_s", "heartbeat_timeout_s", "registration_timeout_s"],
+    )
+    def test_nan_timeout_rejected(self, field_name):
+        # A NaN timeout never expires, and a NaN heartbeat interval makes
+        # ``Event.wait`` return at once.
+        with pytest.raises(InvalidConfigError, match=field_name):
+            TransportConfig(kind="tcp", **{field_name: float("nan")})
+
     def test_transport_is_a_config_key(self):
         config = SolverConfig(seed=0)
         assert not hasattr(config, "transport")  # base config stays lean

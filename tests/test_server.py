@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro import BudgetExceededError, ResourceBudget, SolveResult, solve
 from repro.api.service import Ticket
+from repro.core.exceptions import InvalidConfigError
 from repro.core.result import ResourceUsage
 from repro.problems.meb import MinimumEnclosingBall
 from repro.problems.qp import ConvexQuadraticProgram
@@ -196,8 +197,45 @@ def test_unknown_config_field_answers_400(client):
 
 
 def test_bad_budget_answers_400(client):
-    with pytest.raises(RequestValidationError):
-        client.submit(_instance("lp"), budget={"iterations": 0})
+    for budget in ({"iterations": 0}, {"wall_time_s": float("nan")}):
+        with pytest.raises(RequestValidationError):
+            client.submit(_instance("lp"), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "limit, field",
+    [
+        ({"deadline_s": float("nan")}, "deadline_s"),
+        ({"budget": {"wall_time_s": float("nan")}}, "budget"),
+    ],
+)
+def test_nan_limit_answers_400_naming_its_field(server, limit, field):
+    # The server's json.loads reads the NaN token.  NaN compares false with
+    # every clock reading, so an accepted NaN limit would never trip.
+    import http.client as http_client
+
+    host, port = server.address
+    conn = http_client.HTTPConnection(host, port, timeout=10)
+    try:
+        body = {"problem": encode_problem(_instance("lp")), **limit}
+        conn.request(
+            "POST",
+            "/v1/solve",
+            body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        error = json.loads(response.read())["error"]
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert error["type"] == "invalid_request"
+    assert error["field"] == field
+
+
+def test_nan_quota_wall_time_is_rejected():
+    with pytest.raises(InvalidConfigError, match="wall_time_s"):
+        TenantQuota(wall_time_s=float("nan"))
 
 
 def test_unknown_ticket_answers_404(client):

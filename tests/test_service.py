@@ -17,6 +17,7 @@ from repro import (
     SolverService,
     solve,
 )
+from repro.core.exceptions import InvalidConfigError
 from repro.workloads import random_polytope_lp
 
 FAST = dict(sample_size=300, success_threshold=0.02, max_iterations=500, seed=0)
@@ -69,6 +70,19 @@ def test_expired_deadline_fails_fast_including_queue_wait(problems):
         with pytest.raises(BudgetExceededError, match="deadline"):
             ticket.result(timeout=60)
     assert ticket.status == "failed"
+
+
+def test_nan_wall_time_budget_is_rejected():
+    # NaN passes an ``x <= 0`` check and then never compares greater than
+    # the elapsed time, so it would switch the limit off.
+    with pytest.raises(InvalidConfigError, match="wall_time_s"):
+        ResourceBudget(wall_time_s=float("nan"))
+
+
+def test_nan_deadline_is_rejected_at_submit(problems):
+    with SolverService(model="sequential", **FAST) as svc:
+        with pytest.raises(SessionError, match="deadline_s"):
+            svc.submit(problems[0], deadline_s=float("nan"))
 
 
 def test_communication_budget_fails_coordinator_request(problems):

@@ -9,9 +9,10 @@ Four layers are pinned here:
   value, ends with the last owner (or the pin's object), is shared by
   every session and API session that shares the object, and ends at the
   transport's ``close()``.
-* **Wire codec unit tests** — bit-exact round-trips for the hot wire
-  vocabulary, NumPy scalar-*type* preservation, and the pickle fallback
-  (including ``loads`` accepting raw pickles, which journal replay needs).
+* **Wire codec unit tests** — bit-exact round-trips of marked pickle
+  frames, NumPy scalar-*type* preservation, payloads in their canonical
+  wire form, unmarked and older-format frames refused by the marker, and
+  every transport frame passing through the module's ``dumps``/``loads``.
 * **Leak surface** — ``/dev/shm`` must hold no ``repro_shm_*`` segment
   after session close, worker SIGKILL + heal, or degrade-to-in-process;
   and a supervised crash-replay with shared memory on stays bit-identical.
@@ -30,7 +31,7 @@ from repro.api.session import Session
 from repro.core.context import solve_scope
 from repro.core.exceptions import IterationLimitError
 from repro.fabric import shm, wirecodec
-from repro.fabric.payload import Scalar
+from repro.fabric.payload import Scalar, Vector
 from repro.fabric.transport import ProcessPoolTransport, new_pin_token, transport_for
 from repro.problems import LinearProgram
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -270,6 +271,13 @@ class TestWireCodec:
         back = wirecodec.loads(wirecodec.dumps(payload))
         assert back == payload
         assert isinstance(back, Scalar)
+        # The receiver gets what ``to_bytes`` wrote (float64 coefficients),
+        # not the sender's int32 array: the form the ledger measured.
+        vector = Vector(values=np.arange(3, dtype=np.int32))
+        back = wirecodec.loads(wirecodec.dumps(vector))
+        assert isinstance(back, Vector)
+        assert back.values.dtype == np.float64
+        assert back.values.tolist() == [0.0, 1.0, 2.0]
 
     def test_raw_pickles_pass_through_loads(self):
         # Every producer writes marked frames, so unmarked bytes (here a raw
@@ -283,6 +291,45 @@ class TestWireCodec:
         back = wirecodec.loads(wirecodec.dumps({"rng": rng, "n": 3}))
         assert back["n"] == 3
         assert back["rng"].bit_generator.state == rng.bit_generator.state
+
+    def test_previous_frame_format_is_refused_by_its_marker(self):
+        # A peer of an older build writes ``\x93RW1`` frames; they are
+        # refused at the marker, before anything unpickles them.
+        with pytest.raises(ValueError, match="marker"):
+            wirecodec.loads(b"\x93RW1" + pickle.dumps((1, 2.5)))
+
+    def test_arrays_keep_their_order_and_read_only_flag(self):
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        back = wirecodec.loads(wirecodec.dumps(fortran))
+        assert back.flags.f_contiguous and np.array_equal(back, fortran)
+        frozen = np.arange(4.0)
+        frozen.flags.writeable = False
+        assert not wirecodec.loads(wirecodec.dumps(frozen)).flags.writeable
+
+    def test_every_frame_goes_through_the_module_functions(self, monkeypatch):
+        # The tracer wraps ``wirecodec.dumps``/``loads`` by module attribute
+        # for its codec metrics; a transport that bound the functions by
+        # name would bypass the wrappers and read zero.
+        calls = {"dumps": 0, "loads": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(wirecodec, name, counting(name, getattr(wirecodec, name)))
+        result = solve(
+            _big_lp(),
+            model="coordinator",
+            num_sites=3,
+            transport=TransportConfig(kind="process", max_workers=2, reuse_pool=False),
+            **SOLVE_KWARGS,
+        )
+        assert result.value is not None
+        assert calls["dumps"] > 0 and calls["loads"] > 0
 
 
 # ---------------------------------------------------------------------- #
